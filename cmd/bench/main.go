@@ -34,6 +34,7 @@ import (
 
 	"hged"
 	"hged/internal/core"
+	"hged/internal/dataset"
 	"hged/internal/gen"
 	"hged/internal/hgio"
 	"hged/internal/hypergraph"
@@ -417,6 +418,31 @@ func suite() []benchmark {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p, err := predict.New(g, predict.Options{Lambda: 2, Tau: 4, MaxExpansions: 5000})
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.Run()
+				expanded += p.Stats().Expanded
+			}
+			b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+		}},
+		// HEP/hs is the HS replica job the hgedd benchmark submits (λ=3,
+		// τ=5, 20k expansions per σ search), run sequentially so the
+		// expansion count is deterministic; allocs/op tracks the per-solve
+		// set-up cost of the σ hot path.
+		{"HEP/hs", func(b *testing.B) {
+			spec, err := dataset.Lookup("HS")
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := spec.Replica(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var expanded int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := predict.New(g, predict.Options{Lambda: 3, Tau: 5, MaxExpansions: 20_000})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -283,6 +283,18 @@ func (s *bfsSearch) run(opts Options) Result {
 	N, M := s.N, s.M
 	total := N + M
 
+	// Strategy 3 at the root runs before Strategy 2: it is cheaper, and
+	// when it alone proves HGED > τ the sampled upper bound cannot change
+	// the answer — every incumbent is ≥ rootLB > τ, so the search below
+	// would push nothing and report exceedance with no expansions.
+	rootLB := 0
+	if s.useLB {
+		rootLB = p.rootLowerBound()
+	}
+	if !opts.unbounded() && rootLB > opts.Threshold {
+		return Result{Distance: opts.Threshold + 1, Exceeded: true, Exact: true}
+	}
+
 	// Strategy 2: initial incumbent.
 	incumbent := 1 << 30
 	var incumbentMap *Mapping
@@ -292,11 +304,6 @@ func (s *bfsSearch) run(opts Options) Result {
 	bound := incumbent
 	if !opts.unbounded() && opts.Threshold+1 < bound {
 		bound = opts.Threshold + 1
-	}
-
-	rootLB := 0
-	if s.useLB {
-		rootLB = p.rootLowerBound()
 	}
 
 	if rootLB < bound {

@@ -213,6 +213,9 @@ type pair struct {
 	// EDC-INAC scratch.
 	edcMapped  []int
 	edcMatched []bool
+	// sampleMemo holds Strategy-2 permutations across inits (see
+	// samplePerms); it depends only on its key, never on the graphs.
+	sampleMemo map[sampleKey][][]int
 }
 
 func newPair(g, h *hypergraph.Hypergraph) *pair {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
+
+	"hged/internal/hypergraph"
 )
 
 // upperBound implements Strategy 2: it evaluates the exact edit cost of a
@@ -10,24 +13,73 @@ import (
 // label/degree-aligned mapping plus a few seeded random samples — and
 // returns the cheapest mapping found. Every candidate is a complete valid
 // mapping, so the returned cost is a sound upper bound on HGED.
+//
+// The sampled permutations come from the pair's sample memo (see
+// samplePerms); a winning sample is copied out, so the returned mapping
+// never aliases the memo.
 func (p *pair) upperBound(samples int, seed int64) (int, *Mapping) {
 	best := p.greedyMapping()
 	bestCost := p.totalCost(best)
 
-	rng := rand.New(rand.NewSource(seed))
-	N, M := p.paddedN, p.paddedM
+	perms := p.samplePerms(samples, seed)
+	winner := -1
 	for s := 0; s < samples; s++ {
-		mp := &Mapping{
+		mp := Mapping{
 			SrcN: p.src.n, TgtN: p.tgt.n,
 			SrcM: p.src.m, TgtM: p.tgt.m,
-			NodeMap: rng.Perm(N),
-			EdgeMap: rng.Perm(M),
+			NodeMap: perms[2*s],
+			EdgeMap: perms[2*s+1],
 		}
-		if c := p.totalCost(mp); c < bestCost {
-			bestCost, best = c, mp
+		if c := p.totalCost(&mp); c < bestCost {
+			bestCost, winner = c, s
+		}
+	}
+	if winner >= 0 {
+		best = &Mapping{
+			SrcN: p.src.n, TgtN: p.tgt.n,
+			SrcM: p.src.m, TgtM: p.tgt.m,
+			NodeMap: slices.Clone(perms[2*winner]),
+			EdgeMap: slices.Clone(perms[2*winner+1]),
 		}
 	}
 	return bestCost, best
+}
+
+// sampleKey identifies one Strategy-2 sample set: the permutations depend
+// only on the seed, the sample count and the padded sizes.
+type sampleKey struct {
+	seed          int64
+	samples, n, m int
+}
+
+// sampleMemoLimit bounds the entries of a pair's sample memo; a full memo
+// is cleared before the next insertion.
+const sampleMemoLimit = 64
+
+// samplePerms returns the Strategy-2 random mappings for (samples, seed) at
+// the pair's padded sizes as 2·samples permutations, node and edge maps
+// alternating. They are generated exactly as a fresh
+// rand.New(rand.NewSource(seed)) drawing Perm(N), Perm(M) per sample, and
+// memoized on the pair: seeding a source allocates 4.9 KiB and costs more
+// than a small solve. The returned slices are shared with the memo and
+// must only be read.
+func (p *pair) samplePerms(samples int, seed int64) [][]int {
+	key := sampleKey{seed: seed, samples: samples, n: p.paddedN, m: p.paddedM}
+	if perms, ok := p.sampleMemo[key]; ok {
+		return perms
+	}
+	rng := rand.New(rand.NewSource(seed))
+	perms := make([][]int, 0, 2*samples)
+	for s := 0; s < samples; s++ {
+		perms = append(perms, rng.Perm(key.n), rng.Perm(key.m))
+	}
+	if p.sampleMemo == nil {
+		p.sampleMemo = make(map[sampleKey][][]int)
+	} else if len(p.sampleMemo) >= sampleMemoLimit {
+		clear(p.sampleMemo)
+	}
+	p.sampleMemo[key] = perms
+	return perms
 }
 
 // greedyMapping pairs source and target nodes sorted by (label, degree) and
@@ -36,57 +88,32 @@ func (p *pair) upperBound(samples int, seed int64) (int, *Mapping) {
 // close to optimal.
 func (p *pair) greedyMapping() *Mapping {
 	N, M := p.paddedN, p.paddedM
-	srcNodes := sortedSlots(p.src.n, func(a, b int) bool {
-		if p.src.nodeLabels[a] != p.src.nodeLabels[b] {
-			return p.src.nodeLabels[a] < p.src.nodeLabels[b]
-		}
-		if p.src.degrees[a] != p.src.degrees[b] {
-			return p.src.degrees[a] > p.src.degrees[b]
-		}
-		return a < b
-	})
-	tgtNodes := sortedSlots(p.tgt.n, func(a, b int) bool {
-		if p.tgt.nodeLabels[a] != p.tgt.nodeLabels[b] {
-			return p.tgt.nodeLabels[a] < p.tgt.nodeLabels[b]
-		}
-		if p.tgt.degrees[a] != p.tgt.degrees[b] {
-			return p.tgt.degrees[a] > p.tgt.degrees[b]
-		}
-		return a < b
-	})
-	srcEdges := sortedSlots(p.src.m, func(a, b int) bool {
-		if p.src.edgeLabels[a] != p.src.edgeLabels[b] {
-			return p.src.edgeLabels[a] < p.src.edgeLabels[b]
-		}
-		if p.src.cards[a] != p.src.cards[b] {
-			return p.src.cards[a] > p.src.cards[b]
-		}
-		return a < b
-	})
-	tgtEdges := sortedSlots(p.tgt.m, func(a, b int) bool {
-		if p.tgt.edgeLabels[a] != p.tgt.edgeLabels[b] {
-			return p.tgt.edgeLabels[a] < p.tgt.edgeLabels[b]
-		}
-		if p.tgt.cards[a] != p.tgt.cards[b] {
-			return p.tgt.cards[a] > p.tgt.cards[b]
-		}
-		return a < b
-	})
 	mp := &Mapping{
 		SrcN: p.src.n, TgtN: p.tgt.n,
 		SrcM: p.src.m, TgtM: p.tgt.m,
-		NodeMap: alignLists(srcNodes, tgtNodes, N),
-		EdgeMap: alignLists(srcEdges, tgtEdges, M),
+		NodeMap: alignLists(rankedSlots(p.src.nodeLabels, p.src.degrees), rankedSlots(p.tgt.nodeLabels, p.tgt.degrees), N),
+		EdgeMap: alignLists(rankedSlots(p.src.edgeLabels, p.src.cards), rankedSlots(p.tgt.edgeLabels, p.tgt.cards), M),
 	}
 	return mp
 }
 
-func sortedSlots(n int, less func(a, b int) bool) []int {
-	s := make([]int, n)
+// rankedSlots returns the slots 0..len(labels)-1 ordered by label
+// ascending, then key (degree or cardinality) descending, then slot id. The
+// order is total, so any correct sort yields the same slots.
+func rankedSlots(labels []hypergraph.Label, keys []int) []int {
+	s := make([]int, len(labels))
 	for i := range s {
 		s[i] = i
 	}
-	sort.Slice(s, func(a, b int) bool { return less(s[a], s[b]) })
+	slices.SortFunc(s, func(a, b int) int {
+		if labels[a] != labels[b] {
+			return cmp.Compare(labels[a], labels[b])
+		}
+		if keys[a] != keys[b] {
+			return cmp.Compare(keys[b], keys[a])
+		}
+		return cmp.Compare(a, b)
+	})
 	return s
 }
 

@@ -87,11 +87,15 @@ func WriteText(w io.Writer, g *hypergraph.Hypergraph) error {
 // otherwise attempt a terabyte allocation).
 const MaxNodes = 1 << 24
 
+// maxLineBytes is the longest line (or token) the text readers accept. Their
+// scanners start from a 64 KiB buffer and grow it only for longer lines.
+const maxLineBytes = 1 << 24
+
 // ReadText parses the .hg format written by WriteText. Blank lines and
 // lines starting with '#' are ignored.
 func ReadText(r io.Reader) (*hypergraph.Hypergraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 	var g *hypergraph.Hypergraph
 	lineNo := 0
 	for sc.Scan() {
@@ -268,7 +272,7 @@ func readInts(r io.Reader) ([]int, error) {
 		return nil, nil
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 	sc.Split(bufio.ScanWords)
 	var out []int
 	for sc.Scan() {

@@ -1,7 +1,11 @@
 package hgio
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -157,4 +161,47 @@ func TestReadBensonErrors(t *testing.T) {
 	if _, err := ReadBenson(strings.NewReader("x"), strings.NewReader(""), nil); err == nil {
 		t.Fatal("non-integer must fail")
 	}
+}
+
+// TestReadTextLongLines pins the scanner limits: the buffer starts small
+// but still grows for a single edge line past 1 MiB, and a line past the
+// 16 MiB cap is rejected rather than read.
+func TestReadTextLongLines(t *testing.T) {
+	const n = 200_000
+	var b strings.Builder
+	fmt.Fprintf(&b, "nodes %d\nedge 3", n)
+	for v := 0; v < n; v++ {
+		fmt.Fprintf(&b, " %d", v)
+	}
+	b.WriteString("\n")
+	if b.Len() < 1<<20 {
+		t.Fatalf("edge line is only %d bytes", b.Len())
+	}
+	g, err := ReadText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("1 MiB edge line: %v", err)
+	}
+	if g.NumEdges() != 1 || g.Edge(0).Arity() != n || g.EdgeLabel(0) != 3 {
+		t.Fatalf("1 MiB edge line parsed as %d edges, arity %d", g.NumEdges(), g.Edge(0).Arity())
+	}
+
+	long := io.MultiReader(
+		strings.NewReader("nodes 1\nedge 0"),
+		io.LimitReader(repeatReader(" 0"), maxLineBytes+1),
+		strings.NewReader("\n"),
+	)
+	if _, err := ReadText(long); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over %d bytes: err = %v, want bufio.ErrTooLong", maxLineBytes, err)
+	}
+}
+
+// repeatReader yields s over and over.
+type repeatReader string
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], r)
+	}
+	return n, nil
 }

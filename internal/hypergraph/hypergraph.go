@@ -10,6 +10,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,7 +166,7 @@ func (h *Hypergraph) AddEdge(l Label, nodes ...NodeID) EdgeID {
 	h.invalidateDerived()
 	ns := make([]NodeID, len(nodes))
 	copy(ns, nodes)
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	slices.Sort(ns)
 	ns = dedupSorted(ns)
 	for _, v := range ns {
 		if int(v) < 0 || int(v) >= len(h.nodeLabels) {
@@ -288,48 +289,93 @@ func (h *Hypergraph) OrigID(v NodeID) NodeID {
 
 // InducedSubgraph returns G_S, the sub-hypergraph induced by node set S: its
 // nodes are S (relabeled 0..|S|-1 in ascending original order) and its
-// hyperedges are exactly the hyperedges of h fully contained in S.
-// The result records original ids, retrievable via OrigID.
+// hyperedges are exactly the hyperedges of h fully contained in S, in
+// ascending host id order. The result records original ids, retrievable
+// via OrigID.
+//
+// Membership in S is a binary search over the sorted set. All hyperedge
+// member lists share one arena and all incidence lists another, each handed
+// out as a capacity-capped subslice: an append through the mutation API
+// reallocates instead of writing into a neighbor's range, and removals
+// reallocate the lists they change.
 func (h *Hypergraph) InducedSubgraph(s []NodeID) *Hypergraph {
-	sorted := make([]NodeID, len(s))
-	copy(sorted, s)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(s)
+	slices.Sort(sorted)
 	sorted = dedupSorted(sorted)
 
-	remap := make(map[NodeID]NodeID, len(sorted))
-	labels := make([]Label, len(sorted))
-	for i, v := range sorted {
-		remap[v] = NodeID(i)
-		labels[i] = h.NodeLabel(v)
+	n := len(sorted)
+	sub := &Hypergraph{
+		nodeLabels: make([]Label, n),
+		incidence:  make([][]EdgeID, n),
+		origIDs:    make([]NodeID, n),
 	}
-	sub := NewLabeled(labels)
-	sub.origIDs = make([]NodeID, len(sorted))
 	for i, v := range sorted {
+		sub.nodeLabels[i] = h.NodeLabel(v)
 		sub.origIDs[i] = h.OrigID(v)
 	}
 
 	// Collect candidate hyperedges once via incidence lists so the cost is
 	// proportional to the edges touching S, not |E|; the bitset yields them
-	// in ascending id order without a sort.
-	seen := NewBitset(h.NumEdges())
+	// in ascending id order without a sort. Candidates with a member
+	// outside S are dropped from the set, which leaves exactly the kept
+	// hyperedges and sizes both arenas.
+	kept := NewBitset(h.NumEdges())
 	for _, v := range sorted {
 		for _, e := range h.IncidentEdges(v) {
-			seen.Add(int(e))
+			kept.Add(int(e))
 		}
 	}
-	mapped := make([]NodeID, 0, 16)
-	seen.ForEach(func(ei int) {
-		edge := h.Edge(EdgeID(ei))
-		mapped = mapped[:0]
-		for _, u := range edge.Nodes {
-			nu, ok := remap[u]
-			if !ok {
+	numEdges, numMembers := 0, 0
+	kept.ForEach(func(ei int) {
+		members := h.Edge(EdgeID(ei)).Nodes
+		for _, u := range members {
+			if _, ok := slices.BinarySearch(sorted, u); !ok {
+				kept.Remove(ei)
 				return
 			}
-			mapped = append(mapped, nu)
 		}
-		sub.AddEdge(edge.Label, mapped...)
+		numEdges++
+		numMembers += len(members)
 	})
+	if numEdges == 0 {
+		return sub
+	}
+
+	sub.edges = make([]Hyperedge, 0, numEdges)
+	memberArena := make([]NodeID, numMembers)
+	degree := make([]int32, n+1) // degree[i+1] counts local node i
+	off := 0
+	kept.ForEach(func(ei int) {
+		edge := h.Edge(EdgeID(ei))
+		end := off + len(edge.Nodes)
+		local := memberArena[off:end:end]
+		for k, u := range edge.Nodes {
+			i, _ := slices.BinarySearch(sorted, u)
+			local[k] = NodeID(i)
+			degree[i+1]++
+		}
+		off = end
+		sub.edges = append(sub.edges, Hyperedge{Label: edge.Label, Nodes: local})
+	})
+
+	// Incidence lists in edge insertion (ascending id) order: offsets are
+	// the degree prefix sums, filled by one walk over the kept edges.
+	for i := 1; i <= n; i++ {
+		degree[i] += degree[i-1]
+	}
+	incArena := make([]EdgeID, numMembers)
+	fill := slices.Clone(degree[:n])
+	for id, e := range sub.edges {
+		for _, v := range e.Nodes {
+			incArena[fill[v]] = EdgeID(id)
+			fill[v]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		if a, b := degree[i], degree[i+1]; a < b {
+			sub.incidence[i] = incArena[a:b:b]
+		}
+	}
 	return sub
 }
 

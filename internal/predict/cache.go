@@ -224,9 +224,12 @@ func (c *pairCache) contextDistance(ctxID int32, sub *hypergraph.Hypergraph, uL,
 // solve runs the configured HGED solver with the given threshold and
 // converts the result to a cache entry.
 func (c *pairCache) solve(eu, ev *hypergraph.Hypergraph, budget int) cacheEntry {
-	// The Strategy-3 screen serves the BFS solver; HEP-DFS and HEP-HEU
-	// stay faithful to the paper's variants, which have no lower bounds.
-	if c.solver == AlgBFS && core.LowerBound(eu, ev) > budget {
+	// HGED-BFS screens the root with the Strategy-3 bound itself before any
+	// other work (Expanded 0 when it proves exceedance). A budget ≤ 0
+	// would mean "unbounded" to the solver, so that degenerate case keeps
+	// the screen here. HEP-DFS and HEP-HEU stay faithful to the paper's
+	// variants, which have no lower bounds.
+	if c.solver == AlgBFS && budget <= 0 && core.LowerBound(eu, ev) > budget {
 		return cacheEntry{Bound: int32(budget)}
 	}
 	opts := core.Options{Threshold: budget, MaxExpansions: c.maxExp}

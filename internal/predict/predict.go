@@ -30,7 +30,7 @@ package predict
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hged/internal/core"
@@ -301,7 +301,7 @@ func (p *Predictor) RunContext(ctx context.Context, progress func(done, total in
 			out = append(out, pr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessNodeSets(out[i].Nodes, out[j].Nodes) })
+	slices.SortFunc(out, func(a, b Prediction) int { return slices.Compare(a.Nodes, b.Nodes) })
 	return out, nil
 }
 
@@ -376,7 +376,7 @@ func (p *Predictor) grow(sd seed) []hypergraph.NodeID {
 			}
 		}
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s
 }
 
@@ -384,19 +384,21 @@ func (p *Predictor) grow(sd seed) []hypergraph.NodeID {
 // against set s.
 func (p *Predictor) admit(s []hypergraph.NodeID, w hypergraph.NodeID) bool {
 	c := append(append(make([]hypergraph.NodeID, 0, len(s)+1), s...), w)
-	sub, locals := p.inducedWithIndex(c)
-	wLocal := locals[w]
+	slices.Sort(c)
+	// G_C numbers its nodes in ascending order of c, so local id i is c[i].
+	sub := p.g.InducedSubgraph(c)
+	wi, _ := slices.BinarySearch(c, w)
+	wLocal := hypergraph.NodeID(wi)
 	nbrs := sub.Neighbors(wLocal)
 	if len(nbrs) <= 1 {
 		return false // isolated inside the candidate: no structural tie
 	}
-	ctx := p.cache.internCtx(sortedCopy(c))
+	ctx := p.cache.internCtx(c)
 	for _, vLocal := range nbrs {
 		if vLocal == wLocal {
 			continue
 		}
-		u := sub.OrigID(vLocal)
-		if d, ok := p.cache.contextDistance(ctx, sub, wLocal, vLocal, w, u, p.opts.Tau); !ok || d > p.opts.Tau {
+		if d, ok := p.cache.contextDistance(ctx, sub, wLocal, vLocal, w, c[vLocal], p.opts.Tau); !ok || d > p.opts.Tau {
 			return false
 		}
 	}
@@ -406,34 +408,36 @@ func (p *Predictor) admit(s []hypergraph.NodeID, w hypergraph.NodeID) bool {
 // peel enforces Definition 4 exactly on s: while, inside G_S, some directly
 // connected pair exceeds τ or any pair exceeds λ·τ, remove the node with
 // the most violations. The survivor set is a verified (λ,τ)-hyperedge (or
-// too small to emit).
+// too small to emit). s is ascending, so local node i of G_S is s[i].
 func (p *Predictor) peel(s []hypergraph.NodeID) []hypergraph.NodeID {
 	lambdaTau := p.opts.Lambda * p.opts.Tau
 	for len(s) >= 2 {
-		sub, _ := p.inducedWithIndex(s)
+		sub := p.g.InducedSubgraph(s)
 		ctx := p.cache.internCtx(s)
-		violations := make(map[hypergraph.NodeID]int)
-		total := 0
 		n := sub.NumNodes()
-		neighborSets := make([]map[hypergraph.NodeID]struct{}, n)
-		for i := 0; i < n; i++ {
-			set := make(map[hypergraph.NodeID]struct{})
-			for _, w := range sub.Neighbors(hypergraph.NodeID(i)) {
-				set[w] = struct{}{}
+		// adj marks directly connected pairs: bit i·n+j for i, j sharing
+		// a hyperedge of G_S.
+		adj := hypergraph.NewBitset(n * n)
+		for e := 0; e < sub.NumEdges(); e++ {
+			members := sub.Edge(hypergraph.EdgeID(e)).Nodes
+			for _, a := range members {
+				for _, b := range members {
+					adj.Add(int(a)*n + int(b))
+				}
 			}
-			neighborSets[i] = set
 		}
+		violations := make([]int, n)
+		total := 0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				budget := lambdaTau
-				if _, isNbr := neighborSets[i][hypergraph.NodeID(j)]; isNbr {
+				if adj.Has(i*n + j) {
 					budget = p.opts.Tau
 				}
-				u, v := sub.OrigID(hypergraph.NodeID(i)), sub.OrigID(hypergraph.NodeID(j))
-				d, ok := p.cache.contextDistance(ctx, sub, hypergraph.NodeID(i), hypergraph.NodeID(j), u, v, lambdaTau)
+				d, ok := p.cache.contextDistance(ctx, sub, hypergraph.NodeID(i), hypergraph.NodeID(j), s[i], s[j], lambdaTau)
 				if !ok || d > budget {
-					violations[u]++
-					violations[v]++
+					violations[i]++
+					violations[j]++
 					total++
 				}
 			}
@@ -441,33 +445,16 @@ func (p *Predictor) peel(s []hypergraph.NodeID) []hypergraph.NodeID {
 		if total == 0 {
 			return s
 		}
-		var worst hypergraph.NodeID = -1
-		worstCount := -1
-		for _, v := range s {
-			if c := violations[v]; c > worstCount || (c == worstCount && v > worst) {
-				worst, worstCount = v, c
+		// Most violations; ties go to the largest node, the last in s.
+		worst := 0
+		for i, c := range violations {
+			if c >= violations[worst] {
+				worst = i
 			}
 		}
-		w := make([]hypergraph.NodeID, 0, len(s)-1)
-		for _, v := range s {
-			if v != worst {
-				w = append(w, v)
-			}
-		}
-		s = w
+		s = slices.Delete(slices.Clone(s), worst, worst+1)
 	}
 	return s
-}
-
-// inducedWithIndex returns the induced sub-hypergraph on c plus a map from
-// original node ids to local ids.
-func (p *Predictor) inducedWithIndex(c []hypergraph.NodeID) (*hypergraph.Hypergraph, map[hypergraph.NodeID]hypergraph.NodeID) {
-	sub := p.g.InducedSubgraph(c)
-	locals := make(map[hypergraph.NodeID]hypergraph.NodeID, sub.NumNodes())
-	for i := 0; i < sub.NumNodes(); i++ {
-		locals[sub.OrigID(hypergraph.NodeID(i))] = hypergraph.NodeID(i)
-	}
-	return sub, locals
 }
 
 // Verify checks Definition 4 exactly for a node set S: every pair of
@@ -495,19 +482,4 @@ func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bo
 		}
 	}
 	return true
-}
-
-func sortedCopy(nodes []hypergraph.NodeID) []hypergraph.NodeID {
-	out := append([]hypergraph.NodeID(nil), nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func lessNodeSets(a, b []hypergraph.NodeID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"slices"
 	"sort"
 
 	"hged/internal/hypergraph"
@@ -35,7 +36,7 @@ func (p *Predictor) RunRanked() []ScoredPrediction {
 		if out[i].MeanScore != out[j].MeanScore {
 			return out[i].MeanScore < out[j].MeanScore
 		}
-		return lessNodeSets(out[i].Nodes, out[j].Nodes)
+		return slices.Compare(out[i].Nodes, out[j].Nodes) < 0
 	})
 	return out
 }
@@ -46,15 +47,14 @@ func (p *Predictor) cohesion(s []hypergraph.NodeID) (int, float64) {
 	if len(s) < 2 {
 		return 0, 0
 	}
-	sub, _ := p.inducedWithIndex(s)
+	sub := p.g.InducedSubgraph(s)
 	ctx := p.cache.internCtx(s)
 	lambdaTau := p.opts.Lambda * p.opts.Tau
 	maxScore, total, pairs := 0, 0, 0
 	n := sub.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			u, v := sub.OrigID(hypergraph.NodeID(i)), sub.OrigID(hypergraph.NodeID(j))
-			d, ok := p.cache.contextDistance(ctx, sub, hypergraph.NodeID(i), hypergraph.NodeID(j), u, v, lambdaTau)
+			d, ok := p.cache.contextDistance(ctx, sub, hypergraph.NodeID(i), hypergraph.NodeID(j), s[i], s[j], lambdaTau)
 			if !ok {
 				d = lambdaTau + 1 // should not happen for emitted sets
 			}

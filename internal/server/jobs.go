@@ -44,7 +44,7 @@ type Job struct {
 	state      JobState
 	seedsDone  int
 	seedsTotal int
-	preds      []hged.Prediction
+	preds      predStore
 	stats      hged.PredictStats
 	errMsg     string
 	created    time.Time
@@ -101,6 +101,48 @@ type PredictionView struct {
 	Seed  hged.NodeID   `json:"seed"`
 }
 
+// predStore holds a finished job's predictions compactly: every node set
+// back to back in one arena, prediction i spanning nodes[off[i]:off[i+1]]
+// and grown from seeds[i]. A retained job costs three allocations instead
+// of one per prediction.
+type predStore struct {
+	nodes []hged.NodeID
+	off   []int32
+	seeds []hged.NodeID
+}
+
+func packPredictions(preds []hged.Prediction) predStore {
+	if len(preds) == 0 {
+		return predStore{}
+	}
+	total := 0
+	for _, p := range preds {
+		total += len(p.Nodes)
+	}
+	s := predStore{
+		nodes: make([]hged.NodeID, 0, total),
+		off:   make([]int32, 1, len(preds)+1),
+		seeds: make([]hged.NodeID, len(preds)),
+	}
+	for i, p := range preds {
+		s.nodes = append(s.nodes, p.Nodes...)
+		s.off = append(s.off, int32(len(s.nodes)))
+		s.seeds[i] = p.Seed
+	}
+	return s
+}
+
+// views expands the store into wire shapes; node lists are capped
+// subslices of the arena.
+func (s predStore) views() []PredictionView {
+	out := make([]PredictionView, len(s.seeds))
+	for i := range out {
+		a, b := s.off[i], s.off[i+1]
+		out[i] = PredictionView{Nodes: s.nodes[a:b:b], Seed: s.seeds[i]}
+	}
+	return out
+}
+
 // View snapshots the job for serialization. Predictions and stats appear
 // once the job is done.
 func (j *Job) View() JobView {
@@ -132,10 +174,7 @@ func (j *Job) View() JobView {
 		v.Stats = &st
 	}
 	if j.state == JobDone {
-		v.Predictions = make([]PredictionView, len(j.preds))
-		for i, p := range j.preds {
-			v.Predictions[i] = PredictionView{Nodes: p.Nodes, Seed: p.Seed}
-		}
+		v.Predictions = j.preds.views()
 	}
 	return v
 }
@@ -314,7 +353,7 @@ func (m *JobManager) runJob(job *Job) {
 		job.mu.Lock()
 		job.state = state
 		job.stats = stats
-		job.preds = preds
+		job.preds = packPredictions(preds)
 		job.errMsg = errMsg
 		job.finished = time.Now()
 		job.mu.Unlock()
