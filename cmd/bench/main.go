@@ -18,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -544,58 +543,11 @@ func suite() []benchmark {
 				}
 			}
 		}},
-		// The -piv variants attach a 2-pivot table to the planted-ego
-		// workload above (its expansion cap leaves most pivot distances
-		// Unknown, so the gain is collapsed-interval admission on the
-		// known rows): byte-identical matches, fewer exact verifications.
-		{"Search/range-piv", func(b *testing.B) {
-			ix, q := searchWorkload()
-			if _, err := ix.BuildPivots(context.Background(), 2); err != nil {
-				b.Fatal(err)
-			}
-			var verified int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := ix.Search(q, 6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				verified += int64(stats.Verified)
-			}
-			b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
-		}},
-		{"Search/knn-piv", func(b *testing.B) {
-			ix, q := searchWorkload()
-			if _, err := ix.BuildPivots(context.Background(), 2); err != nil {
-				b.Fatal(err)
-			}
-			var verified int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := ix.Nearest(q, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				verified += int64(stats.Verified)
-			}
-			b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
-		}},
-		// The uni-* quartet measures the pivot metric index on a corpus
-		// where exact pivot distances are fully known: -piv runs the same
-		// query through an 8-pivot table, so the verified/op delta against
-		// the linear baseline is the triangle inequality's work.
-		{"Search/uni-range", func(b *testing.B) {
-			benchPivotRange(b, 0)
-		}},
-		{"Search/uni-range-piv", func(b *testing.B) {
-			benchPivotRange(b, 8)
-		}},
-		{"Search/uni-knn", func(b *testing.B) {
-			benchPivotKNN(b, 0)
-		}},
-		{"Search/uni-knn-piv", func(b *testing.B) {
-			benchPivotKNN(b, 8)
-		}},
+		// The uni-* pair is the exact-regime linear baseline: a corpus of
+		// small uniform graphs whose exact pairwise HGEDs are cheap, so no
+		// verification hits the expansion cap.
+		{"Search/uni-range", benchUniformRange},
+		{"Search/uni-knn", benchUniformKNN},
 		// The Snapshot group measures corpus cold start: loading the
 		// 256-graph filter-batch corpus from a combined .hgx snapshot
 		// (graphs land directly in their frozen CSR form, the signature
@@ -615,19 +567,6 @@ func suite() []benchmark {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(hypergraph.FreezeBuilds()-before)/float64(b.N), "freezeBuilds/op")
-		}},
-		// The -windowed variant reads the same file section by section
-		// through io.ReaderAt — the access pattern an mmap-backed loader
-		// would have. Comparing it against load-hgx is the measured answer
-		// to the "should snapshots be mmap-able?" question (DESIGN.md).
-		{"Snapshot/load-hgx-windowed", func(b *testing.B) {
-			_, hgx := snapshotBenchEnv(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := hgio.ReadCorpusSnapshotFileWindowed(hgx); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}},
 		{"Snapshot/load-text", func(b *testing.B) {
 			files, _ := snapshotBenchEnv(b)
@@ -896,8 +835,8 @@ func sigmaRebaseWorkload(b *testing.B) (*hypergraph.Generation, hypergraph.Delta
 	return gen2, delta, p
 }
 
-func benchPivotRange(b *testing.B, pivots int) {
-	ix, q := pivotSearchWorkload(pivots)
+func benchUniformRange(b *testing.B) {
+	ix, q := uniformSearchWorkload()
 	var verified int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -910,8 +849,8 @@ func benchPivotRange(b *testing.B, pivots int) {
 	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 }
 
-func benchPivotKNN(b *testing.B, pivots int) {
-	ix, q := pivotSearchWorkload(pivots)
+func benchUniformKNN(b *testing.B) {
+	ix, q := uniformSearchWorkload()
 	var verified int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -953,23 +892,14 @@ func searchWorkload() (*search.Index, *hged.Hypergraph) {
 	return ix, corpus[0]
 }
 
-// pivotSearchWorkload builds the pivot-regime corpus: 40 small uniform
-// hypergraphs whose exact pairwise HGEDs are cheap to solve, so every entry
-// of the pivot distance table is known and the triangle bounds actually
-// prune. pivots == 0 is the linear baseline over the identical corpus and
-// query; the engines are byte-identical, so the -piv variants differ only
-// in how many candidates reach exact verification (verified/op).
-func pivotSearchWorkload(pivots int) (*search.Index, *hged.Hypergraph) {
+// uniformSearchWorkload builds the exact-regime corpus: 40 small uniform
+// hypergraphs whose exact pairwise HGEDs are cheap to solve, queried with
+// one of them.
+func uniformSearchWorkload() (*search.Index, *hged.Hypergraph) {
 	rng := rand.New(rand.NewSource(11))
 	corpus := make([]*hged.Hypergraph, 40)
 	for i := range corpus {
 		corpus[i] = gen.Uniform(3+rng.Intn(4), rng.Intn(4), 3, 3, 2, rng.Int63()+1)
 	}
-	ix := search.Build(corpus)
-	if pivots > 0 {
-		if _, err := ix.BuildPivots(context.Background(), pivots); err != nil {
-			panic(fmt.Sprintf("bench: pivot build: %v", err))
-		}
-	}
-	return ix, corpus[5]
+	return search.Build(corpus), corpus[5]
 }

@@ -6,21 +6,14 @@
 //
 //	hgedd [-addr :8080] [-load name=path.hg]... [-benson name=nverts,simplices[,labels]]...
 //	      [-sync-limit N] [-workers N] [-queue N] [-request-timeout 30s] [-drain 30s]
-//	      [-job-retention N] [-pivots N] [-index-snapshot path]
-//	      [-corpus-snapshot path.hgx] [-pprof addr]
+//	      [-job-retention N] [-corpus-snapshot path.hgx] [-pprof addr]
 //
-// -pivots builds a pivot-based metric index over the loaded graphs before
-// serving: similarity searches prune candidates by the triangle inequality
-// (see GET /metrics, "pivot" section). -index-snapshot persists that index
-// to a file — when the file already matches the loaded corpus the build is
-// skipped and the table loaded instead.
-//
-// -corpus-snapshot goes further: it persists the whole corpus and search
-// index (pivot table included) as one .hgx file. When the file matches the
-// requested corpus the daemon cold-starts from it directly — graphs load
-// straight into their frozen CSR form, nothing is parsed or rebuilt — and
-// otherwise the graph files are loaded, the index built, and the snapshot
-// rewritten for the next start (see GET /metrics, "snapshot" section).
+// -corpus-snapshot persists the whole corpus and search index as one .hgx
+// file. When the file matches the requested corpus the daemon cold-starts
+// from it directly — graphs load straight into their frozen CSR form,
+// nothing is parsed or rebuilt — and otherwise the graph files are loaded,
+// the index built, and the snapshot rewritten for the next start (see GET
+// /metrics, "snapshot" section).
 //
 // -job-retention caps how many finished (done/failed/cancelled) HEP jobs
 // stay inspectable via GET /v1/jobs; the oldest terminal jobs are evicted
@@ -84,8 +77,6 @@ func run() error {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
 	maxUpload := flag.Int64("max-upload", 32<<20, "max graph upload body bytes")
 	jobRetention := flag.Int("job-retention", 256, "finished HEP jobs kept for inspection (oldest evicted first)")
-	pivots := flag.Int("pivots", 0, "pivot count for the similarity-search metric index (0 = linear scan)")
-	indexSnapshot := flag.String("index-snapshot", "", "pivot-index snapshot path: loaded when it matches the corpus, written after a build")
 	corpusSnapshot := flag.String("corpus-snapshot", "", "combined corpus+index snapshot path (.hgx): cold-start from it when it matches the requested corpus, rebuild from the graph files and write it otherwise")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	flag.Func("load", "name=path: load a .hg or .json graph at startup (repeatable)", func(v string) error {
@@ -118,8 +109,6 @@ func run() error {
 		QueueDepth:     *queue,
 		JobRetention:   *jobRetention,
 		MaxUploadBytes: *maxUpload,
-		Pivots:         *pivots,
-		IndexSnapshot:  *indexSnapshot,
 		CorpusSnapshot: *corpusSnapshot,
 		Logger:         logger,
 	})
@@ -129,8 +118,8 @@ func run() error {
 
 	// Cold-start from the combined corpus+index snapshot when it matches
 	// the requested corpus: the graphs land directly in their frozen CSR
-	// form and the search index (pivot table included) is adopted as-is,
-	// so no file is parsed and nothing is rebuilt.
+	// form and the search index is adopted as-is, so no file is parsed and
+	// nothing is rebuilt.
 	restored := false
 	if *corpusSnapshot != "" {
 		want := make([]string, 0, len(loads)+len(bensons))
@@ -168,8 +157,7 @@ func run() error {
 				e.Name, e.Stats().Nodes, e.Stats().Edges)
 		}
 
-		// Build (or load) the similarity-search index before accepting
-		// traffic; a SIGINT during a long pivot precompute aborts cleanly.
+		// Build the similarity-search index before accepting traffic.
 		if err := srv.InitSearchIndex(ctx); err != nil {
 			return fmt.Errorf("search index: %w", err)
 		}

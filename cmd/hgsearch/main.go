@@ -8,20 +8,13 @@
 //	hgsearch -q query.hg -k 3 corpus1.hg corpus2.hg ...
 //	hgsearch -q query.hg -tau 5 -egos G.hg     # corpus = all ego networks of G
 //	hgsearch -q query.hg -k 3 -parallel 8 ...  # verify on 8 workers
-//	hgsearch -q query.hg -tau 5 -pivots 8 ...  # triangle-inequality pruning
 //
 // -parallel fans the verification stage over that many workers; the output
-// is byte-identical to a sequential run. -pivots builds a pivot-based
-// metric index first (farthest-first pivots, exact corpus-to-pivot
-// distances) so candidates can be pruned or admitted by the triangle
-// inequality before verification — same results, fewer exact solves.
-// -index-snapshot persists that index: when the file already matches the
-// corpus the build is skipped and the table loaded from disk.
-// -corpus-snapshot persists the corpus and index together as one .hgx file:
-// when it matches the corpus files (or when no corpus files are given at
-// all) the graphs load straight into their frozen CSR form with the index
-// and pivot table adopted as-is — no parsing, no rebuild. Ctrl-C cancels a
-// build or scan in progress.
+// is byte-identical to a sequential run. -corpus-snapshot persists the
+// corpus and index together as one .hgx file: when it matches the corpus
+// files (or when no corpus files are given at all) the graphs load straight
+// into their frozen CSR form with the index adopted as-is — no parsing, no
+// rebuild. Ctrl-C cancels a scan in progress.
 package main
 
 import (
@@ -51,8 +44,6 @@ func run() error {
 	egos := flag.Bool("egos", false, "treat the single corpus file as a host graph and search its ego networks")
 	maxExp := flag.Int64("max-expansions", 0, "per-verification expansion budget (0 = default)")
 	parallel := flag.Int("parallel", 0, "verification workers (≤ 1 = sequential)")
-	pivots := flag.Int("pivots", 0, "pivot count for the metric index (0 = linear scan)")
-	snapshot := flag.String("index-snapshot", "", "pivot-index snapshot path: loaded when it matches the corpus, written after a build")
 	corpusSnapshot := flag.String("corpus-snapshot", "", "combined corpus+index snapshot path (.hgx): loaded when it matches the corpus files (or used as the whole corpus when none are given), written after a build")
 	flag.Parse()
 
@@ -78,7 +69,7 @@ func run() error {
 	var describe func(id int) string
 	var ix *search.Index
 	if *corpusSnapshot != "" {
-		ix, describe, err = fromCorpusSnapshot(*corpusSnapshot, flag.Args(), *pivots)
+		ix, describe, err = fromCorpusSnapshot(*corpusSnapshot, flag.Args())
 		if err != nil && flag.NArg() == 0 {
 			return err
 		}
@@ -115,11 +106,6 @@ func run() error {
 		}
 
 		ix = search.Build(corpus)
-		ix.MaxExpansions = *maxExp
-		ix.Parallelism = *parallel
-		if err := equipPivots(ctx, ix, *pivots, *snapshot); err != nil {
-			return err
-		}
 		if *corpusSnapshot != "" {
 			if err := hgio.WriteCorpusSnapshotFile(*corpusSnapshot, flag.Args(), ix); err != nil {
 				return fmt.Errorf("persisting corpus snapshot: %w", err)
@@ -143,10 +129,9 @@ func run() error {
 	for _, m := range matches {
 		fmt.Printf("HGED=%-4d %s\n", m.Distance, describe(m.ID))
 	}
-	fmt.Printf("corpus=%d pruned: count=%d label=%d card=%d bound=%d triangle=%d; admitted=%d verified=%d (within=%d)\n",
+	fmt.Printf("corpus=%d pruned: count=%d label=%d card=%d bound=%d verified=%d (within=%d)\n",
 		stats.Candidates, stats.PrunedByCount, stats.PrunedByLabel, stats.PrunedByCard,
-		stats.PrunedByBound, stats.PrunedByTriangle, stats.AdmittedByUpperBound,
-		stats.Verified, stats.VerifiedWithin)
+		stats.PrunedByBound, stats.Verified, stats.VerifiedWithin)
 	return nil
 }
 
@@ -154,9 +139,7 @@ func run() error {
 // snapshot. With corpus files on the command line the snapshot must list
 // exactly those files in the same order (so result IDs mean the same thing
 // a fresh build would); with none, the snapshot itself defines the corpus.
-// The embedded pivot table must match -pivots — searching with a different
-// accelerator than asked for would change the reported filter stats.
-func fromCorpusSnapshot(path string, files []string, pivots int) (*search.Index, func(id int) string, error) {
+func fromCorpusSnapshot(path string, files []string) (*search.Index, func(id int) string, error) {
 	names, ix, nbytes, err := hgio.ReadCorpusSnapshotFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -171,52 +154,9 @@ func fromCorpusSnapshot(path string, files []string, pivots int) (*search.Index,
 			}
 		}
 	}
-	want := pivots
-	if n := ix.Len(); want > n {
-		want = n
-	}
-	got := 0
-	if pv := ix.Pivots(); pv != nil {
-		got = pv.K()
-	}
-	if got != want {
-		return nil, nil, fmt.Errorf("snapshot has %d pivots, -pivots wants %d", got, want)
-	}
-	fmt.Fprintf(os.Stderr, "hgsearch: corpus+index loaded from %s (%d graphs, %d pivots, %d bytes)\n",
-		path, len(names), got, nbytes)
+	fmt.Fprintf(os.Stderr, "hgsearch: corpus+index loaded from %s (%d graphs, %d bytes)\n",
+		path, len(names), nbytes)
 	return ix, func(id int) string { return names[id] }, nil
-}
-
-// equipPivots attaches a k-pivot metric index to ix: loaded from the
-// snapshot when one matches this exact corpus and pivot count, built (and
-// persisted, when a path is given) otherwise.
-func equipPivots(ctx context.Context, ix *search.Index, k int, snapshot string) error {
-	if k <= 0 {
-		return nil
-	}
-	want := k
-	if n := ix.Len(); want > n {
-		want = n
-	}
-	if snapshot != "" {
-		if pv, digests, err := hgio.ReadPivotSnapshotFile(snapshot); err == nil && pv.K() == want {
-			if aerr := ix.AttachPivots(pv, digests); aerr == nil {
-				fmt.Fprintf(os.Stderr, "hgsearch: pivot index loaded from %s (%d pivots)\n", snapshot, pv.K())
-				return nil
-			}
-		}
-	}
-	pv, err := ix.BuildPivots(ctx, k)
-	if err != nil {
-		return err
-	}
-	if snapshot != "" {
-		if err := hgio.WritePivotSnapshotFile(snapshot, pv, ix.SignatureDigests()); err != nil {
-			return fmt.Errorf("persisting pivot snapshot: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "hgsearch: pivot snapshot written to %s\n", snapshot)
-	}
-	return nil
 }
 
 func load(path string) (*hypergraph.Hypergraph, error) {

@@ -10,7 +10,6 @@ import (
 	"hged/internal/hgio"
 	"hged/internal/hypergraph"
 	"hged/internal/names"
-	"hged/internal/pivot"
 	"hged/internal/predict"
 	"hged/internal/search"
 	"hged/internal/viz"
@@ -140,17 +139,12 @@ type (
 	// its Parallelism field to fan verification over a worker pool; results
 	// and stats are byte-identical to the sequential scan at any setting.
 	// SearchContext/NearestContext accept a context for cancellation.
-	// BuildPivots/AttachPivots add a pivot-based metric accelerator in
-	// front of the signature filters.
 	SearchIndex = search.Index
 	// SearchMatch is one search result.
 	SearchMatch = search.Match
-	// FilterStats reports how candidates were eliminated: the prune and
-	// admission counters plus Verified always partition Candidates.
+	// FilterStats reports how candidates were eliminated: the prune
+	// counters plus Verified always partition Candidates.
 	FilterStats = search.FilterStats
-	// PivotIndex is a pivot table for triangle-inequality search pruning:
-	// farthest-first pivots plus a corpus×pivot exact-distance matrix.
-	PivotIndex = pivot.Index
 )
 
 // BuildSearchIndex indexes a corpus of hypergraphs for range and kNN search.
@@ -164,34 +158,10 @@ func BuildSearchIndexReusing(corpus []*Hypergraph, prev *SearchIndex, reuse []in
 	return search.BuildReusing(corpus, prev, reuse)
 }
 
-// WritePivotSnapshot serializes a pivot table and the signature digests of
-// the corpus it was built over (SearchIndex.SignatureDigests) in the
-// versioned, checksummed binary snapshot format.
-func WritePivotSnapshot(w io.Writer, pv *PivotIndex, digests []uint64) error {
-	return hgio.WritePivotSnapshot(w, pv, digests)
-}
-
-// ReadPivotSnapshot parses a snapshot written by WritePivotSnapshot. The
-// returned digests must be passed to SearchIndex.AttachPivots, which
-// verifies them against the live corpus.
-func ReadPivotSnapshot(r io.Reader) (*PivotIndex, []uint64, error) {
-	return hgio.ReadPivotSnapshot(r)
-}
-
-// WritePivotSnapshotFile atomically writes a pivot snapshot to path.
-func WritePivotSnapshotFile(path string, pv *PivotIndex, digests []uint64) error {
-	return hgio.WritePivotSnapshotFile(path, pv, digests)
-}
-
-// ReadPivotSnapshotFile reads a pivot snapshot from path.
-func ReadPivotSnapshotFile(path string) (*PivotIndex, []uint64, error) {
-	return hgio.ReadPivotSnapshotFile(path)
-}
-
 // WriteCorpusSnapshot serializes a whole search corpus — the graphs (as
-// nested binary records), the index's signature table and digests, and any
-// attached pivot table — as one checksummed .hgx snapshot. names[i] labels
-// graph i (registry names or source file paths).
+// nested binary records) and the index's signature table and digests — as
+// one checksummed .hgx snapshot. names[i] labels graph i (registry names or
+// source file paths).
 func WriteCorpusSnapshot(w io.Writer, names []string, ix *SearchIndex) error {
 	return hgio.WriteCorpusSnapshot(w, names, ix)
 }
@@ -213,13 +183,6 @@ func WriteCorpusSnapshotFile(path string, names []string, ix *SearchIndex) error
 // contiguous read, also returning the on-disk byte count.
 func ReadCorpusSnapshotFile(path string) ([]string, *SearchIndex, int64, error) {
 	return hgio.ReadCorpusSnapshotFile(path)
-}
-
-// ReadCorpusSnapshotFileWindowed reads a corpus snapshot section by section
-// through io.ReaderAt instead of one contiguous read — the access pattern an
-// mmap-backed loader would have (cmd/bench races the two; see DESIGN.md).
-func ReadCorpusSnapshotFileWindowed(path string) ([]string, *SearchIndex, int64, error) {
-	return hgio.ReadCorpusSnapshotFileWindowed(path)
 }
 
 // Named graphs (internal/names).

@@ -10,8 +10,8 @@ import (
 // writeAtomic writes a file atomically: write streams the payload into a
 // temporary file in the target directory, which is fsynced, closed, and
 // renamed over path — a crash mid-write never leaves a torn file at path.
-// All three snapshot writers (.hgb graphs, HGEDPIVS pivot tables, .hgx
-// corpus snapshots) go through here.
+// Both file writers (.hgb graphs and .hgx corpus snapshots) go through
+// here.
 func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -98,7 +98,7 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 }
 
 func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("HGEDPIVSxxxxxxxxxxxxxxxx")); err == nil {
+	if _, err := ReadBinary(strings.NewReader("HGEDIDX1xxxxxxxxxxxxxxxx")); err == nil {
 		t.Fatal("wrong magic not rejected")
 	}
 }

@@ -16,16 +16,16 @@ import (
 // Combined corpus+index snapshot layout (.hgx, all integers little-endian).
 // One file holds everything a server needs to answer its first query: the
 // corpus graphs as nested .hgb records, the search index's signature-table
-// columns exactly as they sit in memory, the per-graph signature digests,
-// and (optionally) the pivot table as a nested HGEDPIVS record. Loading it
-// constructs every graph frozen-first and restores the index without
-// recomputing a single signature — zero Freeze rebuilds on the cold path.
+// columns exactly as they sit in memory, and the per-graph signature
+// digests. Loading it constructs every graph frozen-first and restores the
+// index without recomputing a single signature — zero Freeze rebuilds on
+// the cold path.
 //
 //	offset  size      field
 //	0       8         magic "HGEDIDX1"
 //	8       4         format version (uint32, currently 1)
 //	12      4         G — corpus size (uint32)
-//	16      4         flags (uint32; bit 0: pivot section present)
+//	16      4         flags (uint32; must be 0)
 //	...               G × (uint32 length + name bytes) — corpus entry names
 //	...               G × (uint32 length + nested .hgb record)
 //	...     4G        signature column n (G × int32)
@@ -40,7 +40,6 @@ import (
 //	...     4·elab    edge-label arena labels (edgeOff[G] × int32)
 //	...     4·elab    edge-label arena multiplicities
 //	...     8G        per-graph signature digests (G × uint64)
-//	...               [flags&1] uint32 length + nested HGEDPIVS record
 //	...     4         CRC-32 (IEEE) of everything above (uint32)
 //
 // Arena lengths are implied by the final offset entry, so the file carries
@@ -53,14 +52,16 @@ const (
 	corpusSnapshotMagic   = "HGEDIDX1"
 	corpusSnapshotVersion = uint32(1)
 
-	// maxSnapshotNameLen bounds a single corpus entry name, protecting the
-	// reader from hostile length prefixes.
+	// maxSnapshotGraphs bounds the corpus size and maxSnapshotNameLen a
+	// single corpus entry name, protecting the reader from hostile length
+	// prefixes.
+	maxSnapshotGraphs  = 1 << 24
 	maxSnapshotNameLen = 1 << 16
 )
 
 // WriteCorpusSnapshot serializes the corpus behind ix (names[i] labels graph
 // i; typically registry names or source file paths) together with the
-// index's signature table, digests, and attached pivot table.
+// index's signature table and digests. The flags word is always 0.
 func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 	if ix == nil {
 		return fmt.Errorf("hgio: nil search index")
@@ -74,7 +75,6 @@ func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 		}
 	}
 	snap := ix.Snapshot()
-	hasPivots := snap.Pivots != nil && snap.Pivots.K() > 0
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(w)
@@ -82,11 +82,7 @@ func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 	if _, err := io.WriteString(out, corpusSnapshotMagic); err != nil {
 		return fmt.Errorf("hgio: %w", err)
 	}
-	flags := uint32(0)
-	if hasPivots {
-		flags |= 1
-	}
-	if err := writeU32s(out, corpusSnapshotVersion, uint32(ix.Len()), flags); err != nil {
+	if err := writeU32s(out, corpusSnapshotVersion, uint32(ix.Len()), 0); err != nil {
 		return err
 	}
 	for _, name := range names {
@@ -140,18 +136,6 @@ func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 			return fmt.Errorf("hgio: %w", err)
 		}
 	}
-	if hasPivots {
-		rec.Reset()
-		if err := WritePivotSnapshot(&rec, snap.Pivots, snap.Digests); err != nil {
-			return err
-		}
-		if err := writeU32s(out, uint32(rec.Len())); err != nil {
-			return err
-		}
-		if _, err := out.Write(rec.Bytes()); err != nil {
-			return fmt.Errorf("hgio: %w", err)
-		}
-	}
 	if err := writeU32s(bw, crc.Sum32()); err != nil {
 		return err
 	}
@@ -166,72 +150,39 @@ func WriteCorpusSnapshotFile(path string, names []string, ix *search.Index) erro
 	return writeAtomic(path, func(w io.Writer) error { return WriteCorpusSnapshot(w, names, ix) })
 }
 
-// corpusSource feeds the snapshot decoder its payload bytes (everything
-// before the CRC trailer, which the caller has already verified). The two
-// implementations are the point of the abstraction: bufSource serves
-// subslices of one contiguous read, fileSource issues one pread per section
-// — the access pattern an mmap-backed loader would have. cmd/bench races
-// them to answer whether mmap would pay off (see DESIGN.md).
-type corpusSource interface {
-	// next returns the next n payload bytes. The slice is only valid until
-	// the following call.
-	next(n int) ([]byte, error)
-	// remaining reports how many payload bytes are left.
-	remaining() int64
-}
-
-type bufSource struct {
+// corpusReader walks the snapshot payload (everything before the CRC
+// trailer, which the caller has already verified), serving each section as
+// a subslice of the one contiguous read.
+type corpusReader struct {
 	data []byte
 	pos  int
 }
 
-func (s *bufSource) next(n int) ([]byte, error) {
-	if n < 0 || int64(n) > s.remaining() {
-		return nil, fmt.Errorf("hgio: corpus snapshot truncated (need %d bytes, %d left)", n, s.remaining())
+// next returns the next n payload bytes.
+func (r *corpusReader) next(n int) ([]byte, error) {
+	if n < 0 || n > r.remaining() {
+		return nil, fmt.Errorf("hgio: corpus snapshot truncated (need %d bytes, %d left)", n, r.remaining())
 	}
-	b := s.data[s.pos : s.pos+n]
-	s.pos += n
+	b := r.data[r.pos : r.pos+n]
+	r.pos += n
 	return b, nil
 }
 
-func (s *bufSource) remaining() int64 { return int64(len(s.data) - s.pos) }
+func (r *corpusReader) remaining() int { return len(r.data) - r.pos }
 
-type fileSource struct {
-	f        io.ReaderAt
-	off, end int64
-	buf      []byte
-}
-
-func (s *fileSource) next(n int) ([]byte, error) {
-	if n < 0 || int64(n) > s.remaining() {
-		return nil, fmt.Errorf("hgio: corpus snapshot truncated (need %d bytes, %d left)", n, s.remaining())
-	}
-	if cap(s.buf) < n {
-		s.buf = make([]byte, n)
-	}
-	b := s.buf[:n]
-	if got, err := s.f.ReadAt(b, s.off); got < n {
-		return nil, fmt.Errorf("hgio: %w", err)
-	}
-	s.off += int64(n)
-	return b, nil
-}
-
-func (s *fileSource) remaining() int64 { return s.end - s.off }
-
-func srcU32(src corpusSource) (uint32, error) {
-	b, err := src.next(4)
+func (r *corpusReader) u32() (uint32, error) {
+	b, err := r.next(4)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// srcI32s reads count little-endian int32s. The length check inside next
+// i32s reads count little-endian int32s. The length check inside next
 // bounds the allocation by the actual payload size, so a corrupt count
 // cannot trigger a huge allocation.
-func srcI32s(src corpusSource, count int) ([]int32, error) {
-	b, err := src.next(4 * count)
+func (r *corpusReader) i32s(count int) ([]int32, error) {
+	b, err := r.next(4 * count)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +193,8 @@ func srcI32s(src corpusSource, count int) ([]int32, error) {
 	return out, nil
 }
 
-func srcLabels(src corpusSource, count int) ([]hypergraph.Label, error) {
-	b, err := src.next(4 * count)
+func (r *corpusReader) labels(count int) ([]hypergraph.Label, error) {
+	b, err := r.next(4 * count)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +207,8 @@ func srcLabels(src corpusSource, count int) ([]hypergraph.Label, error) {
 
 // decodeCorpus parses the snapshot payload (CRC already verified and
 // stripped) and restores the corpus and its index.
-func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
+func decodeCorpus(body []byte) ([]string, *search.Index, error) {
+	src := &corpusReader{data: body}
 	head, err := src.next(len(corpusSnapshotMagic))
 	if err != nil {
 		return nil, nil, err
@@ -264,31 +216,34 @@ func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
 	if string(head) != corpusSnapshotMagic {
 		return nil, nil, fmt.Errorf("hgio: not a corpus snapshot (bad magic %q)", head)
 	}
-	version, err := srcU32(src)
+	version, err := src.u32()
 	if err != nil {
 		return nil, nil, err
 	}
 	if version != corpusSnapshotVersion {
 		return nil, nil, fmt.Errorf("hgio: unsupported corpus snapshot version %d (want %d)", version, corpusSnapshotVersion)
 	}
-	ug, err := srcU32(src)
+	ug, err := src.u32()
 	if err != nil {
 		return nil, nil, err
 	}
-	if ug > MaxSnapshotGraphs {
-		return nil, nil, fmt.Errorf("hgio: implausible corpus snapshot size %d (max %d)", ug, MaxSnapshotGraphs)
+	if ug > maxSnapshotGraphs {
+		return nil, nil, fmt.Errorf("hgio: implausible corpus snapshot size %d (max %d)", ug, maxSnapshotGraphs)
 	}
-	flags, err := srcU32(src)
+	flags, err := src.u32()
 	if err != nil {
 		return nil, nil, err
 	}
-	if flags > 1 {
+	switch {
+	case flags&1 != 0:
+		return nil, nil, fmt.Errorf("hgio: corpus snapshot carries a pivot section, no longer supported; rebuild it from the graph files")
+	case flags != 0:
 		return nil, nil, fmt.Errorf("hgio: unknown corpus snapshot flags %#x", flags)
 	}
 	g := int(ug)
 	names := make([]string, g)
 	for i := range names {
-		nlen, err := srcU32(src)
+		nlen, err := src.u32()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -303,7 +258,7 @@ func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
 	}
 	graphs := make([]*hypergraph.Hypergraph, g)
 	for i := range graphs {
-		rlen, err := srcU32(src)
+		rlen, err := src.u32()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -316,13 +271,13 @@ func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
 		}
 	}
 	snap := &search.Snapshot{}
-	if snap.N, err = srcI32s(src, g); err != nil {
+	if snap.N, err = src.i32s(g); err != nil {
 		return nil, nil, err
 	}
-	if snap.M, err = srcI32s(src, g); err != nil {
+	if snap.M, err = src.i32s(g); err != nil {
 		return nil, nil, err
 	}
-	if snap.Incid, err = srcI32s(src, g); err != nil {
+	if snap.Incid, err = src.i32s(g); err != nil {
 		return nil, nil, err
 	}
 	arena := func(off []int32) (int, error) {
@@ -331,40 +286,40 @@ func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
 		}
 		return int(off[g]), nil
 	}
-	if snap.CardOff, err = srcI32s(src, g+1); err != nil {
+	if snap.CardOff, err = src.i32s(g + 1); err != nil {
 		return nil, nil, err
 	}
 	cards, err := arena(snap.CardOff)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.Cards, err = srcI32s(src, cards); err != nil {
+	if snap.Cards, err = src.i32s(cards); err != nil {
 		return nil, nil, err
 	}
-	if snap.NodeOff, err = srcI32s(src, g+1); err != nil {
+	if snap.NodeOff, err = src.i32s(g + 1); err != nil {
 		return nil, nil, err
 	}
 	nlab, err := arena(snap.NodeOff)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.NodeLabels, err = srcLabels(src, nlab); err != nil {
+	if snap.NodeLabels, err = src.labels(nlab); err != nil {
 		return nil, nil, err
 	}
-	if snap.NodeCounts, err = srcI32s(src, nlab); err != nil {
+	if snap.NodeCounts, err = src.i32s(nlab); err != nil {
 		return nil, nil, err
 	}
-	if snap.EdgeOff, err = srcI32s(src, g+1); err != nil {
+	if snap.EdgeOff, err = src.i32s(g + 1); err != nil {
 		return nil, nil, err
 	}
 	elab, err := arena(snap.EdgeOff)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.EdgeLabels, err = srcLabels(src, elab); err != nil {
+	if snap.EdgeLabels, err = src.labels(elab); err != nil {
 		return nil, nil, err
 	}
-	if snap.EdgeCounts, err = srcI32s(src, elab); err != nil {
+	if snap.EdgeCounts, err = src.i32s(elab); err != nil {
 		return nil, nil, err
 	}
 	b, err := src.next(8 * g)
@@ -374,29 +329,6 @@ func decodeCorpus(src corpusSource) ([]string, *search.Index, error) {
 	snap.Digests = make([]uint64, g)
 	for i := range snap.Digests {
 		snap.Digests[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	if flags&1 != 0 {
-		plen, err := srcU32(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := src.next(int(plen))
-		if err != nil {
-			return nil, nil, err
-		}
-		pv, pdigests, err := ReadPivotSnapshot(bytes.NewReader(b))
-		if err != nil {
-			return nil, nil, fmt.Errorf("corpus snapshot pivot section: %w", err)
-		}
-		if len(pdigests) != g {
-			return nil, nil, fmt.Errorf("hgio: corpus snapshot pivot section covers %d graphs, corpus has %d", len(pdigests), g)
-		}
-		for i, d := range pdigests {
-			if d != snap.Digests[i] {
-				return nil, nil, fmt.Errorf("hgio: corpus snapshot pivot section bound to a different corpus (digest %d differs)", i)
-			}
-		}
-		snap.Pivots = pv
 	}
 	if left := src.remaining(); left != 0 {
 		return nil, nil, fmt.Errorf("hgio: %d trailing bytes after corpus snapshot", left)
@@ -419,7 +351,7 @@ func decodeCorpusSnapshot(data []byte) ([]string, *search.Index, error) {
 	if sum := crc32.ChecksumIEEE(body); stored != sum {
 		return nil, nil, fmt.Errorf("hgio: corpus snapshot checksum mismatch (stored %08x, computed %08x): corrupt or torn write", stored, sum)
 	}
-	return decodeCorpus(&bufSource{data: body})
+	return decodeCorpus(body)
 }
 
 // ReadCorpusSnapshot parses a snapshot written by WriteCorpusSnapshot. It
@@ -448,53 +380,15 @@ func ReadCorpusSnapshotFile(path string) ([]string, *search.Index, int64, error)
 	return names, ix, int64(len(data)), nil
 }
 
-// ReadCorpusSnapshotFileWindowed reads a snapshot from path section by
-// section through io.ReaderAt — the access pattern an mmap-backed loader
-// would have — instead of one contiguous read. Integrity still comes first:
-// a streaming CRC pass over the whole file precedes decoding, which is
-// exactly why windowing cannot beat the one-read loader (every byte must be
-// touched before construction regardless; see the measured comparison in
-// DESIGN.md). It exists for cmd/bench and for callers that cannot afford a
-// transient whole-file buffer.
-func ReadCorpusSnapshotFileWindowed(path string) ([]string, *search.Index, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("hgio: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("hgio: %w", err)
-	}
-	size := fi.Size()
-	if size < int64(len(corpusSnapshotMagic)+3*4+4) {
-		return nil, nil, 0, fmt.Errorf("hgio: corpus snapshot truncated (%d bytes) (file %s)", size, path)
-	}
-	crc := crc32.NewIEEE()
-	window := make([]byte, 1<<20)
-	for off := int64(0); off < size-4; {
-		n := int64(len(window))
-		if size-4-off < n {
-			n = size - 4 - off
+func writeU32s(w io.Writer, vs ...uint32) error {
+	var buf [4]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		if _, err := w.Write(buf[:]); err != nil {
+			return fmt.Errorf("hgio: %w", err)
 		}
-		if got, err := f.ReadAt(window[:n], off); int64(got) < n {
-			return nil, nil, 0, fmt.Errorf("hgio: %w (file %s)", err, path)
-		}
-		crc.Write(window[:n])
-		off += n
 	}
-	var trailer [4]byte
-	if got, err := f.ReadAt(trailer[:], size-4); got < 4 {
-		return nil, nil, 0, fmt.Errorf("hgio: %w (file %s)", err, path)
-	}
-	if stored, sum := binary.LittleEndian.Uint32(trailer[:]), crc.Sum32(); stored != sum {
-		return nil, nil, 0, fmt.Errorf("hgio: corpus snapshot checksum mismatch (stored %08x, computed %08x): corrupt or torn write (file %s)", stored, sum, path)
-	}
-	names, ix, err := decodeCorpus(&fileSource{f: f, end: size - 4})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("%w (file %s)", err, path)
-	}
-	return names, ix, size, nil
+	return nil
 }
 
 func writeI32s(w io.Writer, vs []int32) error {

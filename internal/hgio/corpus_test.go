@@ -2,11 +2,13 @@ package hgio
 
 import (
 	"bytes"
-	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hged/internal/gen"
@@ -14,10 +16,8 @@ import (
 	"hged/internal/search"
 )
 
-// snapshotCorpus builds a small deterministic corpus and its search index,
-// optionally with pivots attached.
-func snapshotCorpus(t testing.TB, size, pivots int, seed int64) ([]string, *search.Index) {
-	t.Helper()
+// snapshotCorpus builds a small deterministic corpus and its search index.
+func snapshotCorpus(size int, seed int64) ([]string, *search.Index) {
 	rng := rand.New(rand.NewSource(seed))
 	graphs := make([]*hypergraph.Hypergraph, size)
 	names := make([]string, size)
@@ -25,84 +25,72 @@ func snapshotCorpus(t testing.TB, size, pivots int, seed int64) ([]string, *sear
 		graphs[i] = gen.Uniform(3+rng.Intn(5), rng.Intn(5), 3, 3, 2, rng.Int63()+1)
 		names[i] = fmt.Sprintf("corpus/g%03d.hg", i)
 	}
-	ix := search.Build(graphs)
-	if pivots > 0 {
-		if _, err := ix.BuildPivots(context.Background(), pivots); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return names, ix
+	return names, search.Build(graphs)
 }
 
-// TestCorpusSnapshotRoundTrip writes a corpus snapshot and restores it, with
-// and without a pivot section, checking that names, digests, and query
-// results come back identical — and that the restore performs zero CSR
-// freeze rebuilds, the property the whole format exists for.
+// TestCorpusSnapshotRoundTrip writes a corpus snapshot and restores it,
+// checking that names, digests, and query results come back identical — and
+// that the restore performs zero CSR freeze rebuilds, the property the
+// whole format exists for.
 func TestCorpusSnapshotRoundTrip(t *testing.T) {
-	for _, pivots := range []int{0, 3} {
-		names, ix := snapshotCorpus(t, 24, pivots, 41)
-		var buf bytes.Buffer
-		if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
-			t.Fatalf("pivots=%d: write: %v", pivots, err)
-		}
+	names, ix := snapshotCorpus(24, 41)
+	var buf bytes.Buffer
+	if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
+		t.Fatalf("write: %v", err)
+	}
 
-		before := hypergraph.FreezeBuilds()
-		gotNames, re, err := ReadCorpusSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("pivots=%d: read: %v", pivots, err)
+	before := hypergraph.FreezeBuilds()
+	gotNames, re, err := ReadCorpusSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if rebuilds := hypergraph.FreezeBuilds() - before; rebuilds != 0 {
+		t.Errorf("restoring the snapshot performed %d freeze rebuilds, want 0", rebuilds)
+	}
+	if fmt.Sprint(gotNames) != fmt.Sprint(names) {
+		t.Fatalf("names diverged:\n in: %v\nout: %v", names, gotNames)
+	}
+	if fmt.Sprint(re.SignatureDigests()) != fmt.Sprint(ix.SignatureDigests()) {
+		t.Fatal("digests diverged")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 4; trial++ {
+		q := gen.Uniform(3+rng.Intn(4), rng.Intn(4), 3, 3, 2, rng.Int63()+1)
+		tau := rng.Intn(6)
+		m1, s1, err1 := ix.Search(q, tau)
+		m2, s2, err2 := re.Search(q, tau)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		if rebuilds := hypergraph.FreezeBuilds() - before; rebuilds != 0 {
-			t.Errorf("pivots=%d: restoring the snapshot performed %d freeze rebuilds, want 0", pivots, rebuilds)
-		}
-		if fmt.Sprint(gotNames) != fmt.Sprint(names) {
-			t.Fatalf("pivots=%d: names diverged:\n in: %v\nout: %v", pivots, names, gotNames)
-		}
-		if (re.Pivots() == nil) != (pivots == 0) {
-			t.Fatalf("pivots=%d: restored pivot table presence wrong", pivots)
-		}
-		if fmt.Sprint(re.SignatureDigests()) != fmt.Sprint(ix.SignatureDigests()) {
-			t.Fatalf("pivots=%d: digests diverged", pivots)
-		}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 4; trial++ {
-			q := gen.Uniform(3+rng.Intn(4), rng.Intn(4), 3, 3, 2, rng.Int63()+1)
-			tau := rng.Intn(6)
-			m1, s1, err1 := ix.Search(q, tau)
-			m2, s2, err2 := re.Search(q, tau)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
-				t.Fatalf("pivots=%d trial %d: results diverged\n%v %+v\n%v %+v", pivots, trial, m1, s1, m2, s2)
-			}
+		if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
+			t.Fatalf("trial %d: results diverged\n%v %+v\n%v %+v", trial, m1, s1, m2, s2)
 		}
 	}
 }
 
-// TestCorpusSnapshotFileLoaders checks that the one-read and windowed file
-// loaders agree with each other and with the stream reader, and that both
-// report the on-disk byte count.
+// TestCorpusSnapshotFileLoaders checks that the file loader agrees with the
+// stream reader and reports the on-disk byte count.
 func TestCorpusSnapshotFileLoaders(t *testing.T) {
-	names, ix := snapshotCorpus(t, 16, 2, 99)
+	names, ix := snapshotCorpus(16, 99)
 	path := filepath.Join(t.TempDir(), "corpus.hgx")
 	if err := WriteCorpusSnapshotFile(path, names, ix); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	n1, ix1, b1, err := ReadCorpusSnapshotFile(path)
+	n1, ix1, size, err := ReadCorpusSnapshotFile(path)
 	if err != nil {
-		t.Fatalf("one-read loader: %v", err)
+		t.Fatalf("file loader: %v", err)
 	}
-	n2, ix2, b2, err := ReadCorpusSnapshotFileWindowed(path)
+	n2, ix2, err := ReadCorpusSnapshot(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("windowed loader: %v", err)
+		t.Fatalf("stream reader: %v", err)
 	}
-	if b1 != fi.Size() || b2 != fi.Size() {
-		t.Errorf("loaders report %d/%d bytes, file is %d", b1, b2, fi.Size())
+	if size != int64(len(raw)) {
+		t.Errorf("file loader reports %d bytes, file is %d", size, len(raw))
 	}
 	if fmt.Sprint(n1) != fmt.Sprint(names) || fmt.Sprint(n2) != fmt.Sprint(names) {
 		t.Errorf("loaders returned wrong names: %v / %v", n1, n2)
@@ -118,14 +106,65 @@ func TestCorpusSnapshotFileLoaders(t *testing.T) {
 		t.Fatal(err1, err2)
 	}
 	if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
-		t.Fatalf("one-read and windowed loaders disagree:\n%v %+v\n%v %+v", m1, s1, m2, s2)
+		t.Fatalf("file loader and stream reader disagree:\n%v %+v\n%v %+v", m1, s1, m2, s2)
+	}
+	if _, _, _, err := ReadCorpusSnapshotFile(filepath.Join(t.TempDir(), "missing.hgx")); err == nil {
+		t.Error("file loader accepted a missing file")
+	}
+}
+
+// withFlags rewrites a snapshot's flags word and re-seals its CRC trailer,
+// so the reader gets past the checksum and judges the flags themselves.
+func withFlags(wire []byte, flags uint32) []byte {
+	out := append([]byte(nil), wire...)
+	binary.LittleEndian.PutUint32(out[16:], flags)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestCorpusSnapshotRejectsFlags checks that a snapshot with flag bit 0 set
+// (the retired pivot section) is refused with an explicit error before any
+// graph is decoded, and that unknown flag bits are refused too.
+func TestCorpusSnapshotRejectsFlags(t *testing.T) {
+	names, ix := snapshotCorpus(4, 3)
+	var buf bytes.Buffer
+	if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
+		t.Fatal(err)
+	}
+	if flags := binary.LittleEndian.Uint32(buf.Bytes()[16:]); flags != 0 {
+		t.Fatalf("writer emitted flags %#x, want 0", flags)
+	}
+	// Break the first graph record's magic: a reader that decoded graphs
+	// before judging the flags would report that instead.
+	broken := append([]byte(nil), buf.Bytes()...)
+	off := 20
+	for _, name := range names {
+		off += 4 + len(name)
+	}
+	broken[off+4] ^= 0xff
+	if _, _, err := ReadCorpusSnapshot(bytes.NewReader(withFlags(broken, 0))); err == nil ||
+		!strings.Contains(err.Error(), "graph 0") {
+		t.Fatalf("flags 0 with a broken graph record: got error %v, want a graph 0 error", err)
+	}
+	for _, tc := range []struct {
+		flags uint32
+		want  string
+	}{
+		{1, "pivot section, no longer supported"},
+		{3, "pivot section, no longer supported"},
+		{2, "unknown corpus snapshot flags"},
+	} {
+		_, _, err := ReadCorpusSnapshot(bytes.NewReader(withFlags(broken, tc.flags)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("flags %#x: got error %v, want one containing %q", tc.flags, err, tc.want)
+		}
 	}
 }
 
 // TestCorpusSnapshotRejects checks that corruption, truncation, and trailing
 // garbage are all refused before any index is installed.
 func TestCorpusSnapshotRejects(t *testing.T) {
-	names, ix := snapshotCorpus(t, 8, 2, 5)
+	names, ix := snapshotCorpus(8, 5)
 	var buf bytes.Buffer
 	if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
 		t.Fatal(err)
@@ -151,18 +190,6 @@ func TestCorpusSnapshotRejects(t *testing.T) {
 			t.Errorf("accepted snapshot with a bit flip at offset %d", pos)
 		}
 	}
-	// Windowed loader rejects the same corruption.
-	dir := t.TempDir()
-	bad := append([]byte(nil), wire...)
-	bad[len(bad)/2] ^= 1
-	path := filepath.Join(dir, "bad.hgx")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadCorpusSnapshotFileWindowed(path); err == nil {
-		t.Error("windowed loader accepted a corrupt snapshot")
-	}
-
 	// Name-count mismatch on the write side.
 	if err := WriteCorpusSnapshot(&bytes.Buffer{}, names[:len(names)-1], ix); err == nil {
 		t.Error("writer accepted a name list shorter than the corpus")
@@ -178,19 +205,22 @@ func TestCorpusSnapshotRejects(t *testing.T) {
 func FuzzReadCorpusSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(corpusSnapshotMagic))
-	for _, pivots := range []int{0, 2} {
-		names, ix := snapshotCorpus(f, 6, pivots, 31)
-		var buf bytes.Buffer
-		if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
-			f.Fatal(err)
-		}
-		wire := buf.Bytes()
-		f.Add(append([]byte(nil), wire...))
-		f.Add(append([]byte(nil), wire[:len(wire)/2]...))
-		mutant := append([]byte(nil), wire...)
-		mutant[len(mutant)/3] ^= 0x40
-		f.Add(mutant)
+	names, ix := snapshotCorpus(6, 31)
+	var buf bytes.Buffer
+	if err := WriteCorpusSnapshot(&buf, names, ix); err != nil {
+		f.Fatal(err)
 	}
+	wire := buf.Bytes()
+	f.Add(append([]byte(nil), wire...))
+	f.Add(append([]byte(nil), wire[:len(wire)/2]...))
+	mutant := append([]byte(nil), wire...)
+	mutant[len(mutant)/3] ^= 0x40
+	f.Add(mutant)
+	// Sealed headers the reader must refuse on their flags alone: the
+	// retired section bit 0, unknown bits, and both together.
+	f.Add(withFlags(wire, 1))
+	f.Add(withFlags(wire, 2))
+	f.Add(withFlags(wire, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		names, ix, err := ReadCorpusSnapshot(bytes.NewReader(data))
 		if err != nil {

@@ -26,7 +26,6 @@ var Detrange = &Analyzer{
 	Packages: []string{
 		"hged/internal/core",
 		"hged/internal/search",
-		"hged/internal/pivot",
 		"hged/internal/predict",
 		"hged/internal/server",
 		"hged/internal/viz",

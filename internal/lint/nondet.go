@@ -29,7 +29,6 @@ var Nondet = &Analyzer{
 	Packages: []string{
 		"hged/internal/core",
 		"hged/internal/search",
-		"hged/internal/pivot",
 		"hged/internal/predict",
 	},
 	Run: runNondet,

@@ -160,7 +160,7 @@ func TestSummaryCrossPackageFacts(t *testing.T) {
 
 // scopedTo clones an analyzer with its package scope replaced, so the
 // fixture's outer package is "in scope" and inner is not — the production
-// shape (core/search/pivot/predict scoped, helpers not).
+// shape (core/search/predict scoped, helpers not).
 func scopedTo(a *lint.Analyzer, pkgs ...string) *lint.Analyzer {
 	clone := *a
 	clone.Packages = pkgs

@@ -63,7 +63,7 @@ func TestParallelSearchIsByteIdenticalToSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if wantS.PrunedByCount+wantS.PrunedByLabel+wantS.PrunedByCard+wantS.PrunedByBound+
-				wantS.PrunedByTriangle+wantS.AdmittedByUpperBound+wantS.Verified != wantS.Candidates {
+				wantS.Verified != wantS.Candidates {
 				t.Fatalf("q=%d k=%d: kNN stats don't add up: %+v", qi, k, wantS)
 			}
 			for _, p := range levels {

@@ -4,11 +4,7 @@
 // paradigm of the GED similarity-search literature the paper builds on
 // (Sanfeliu & Fu; Zhao et al.; Chang et al. — refs [25], [27]–[30]):
 // cheap per-graph signatures prune candidates with admissible lower bounds,
-// and only survivors pay for an exact HGED-BFS verification. An attached
-// pivot table (internal/pivot; BuildPivots) adds a metric filter on top:
-// HGED is a true metric, so precomputed graph-to-pivot distances bracket
-// every query distance by the triangle inequality — lower bounds above τ
-// prune, and collapsed intervals admit matches, both without verification.
+// and only survivors pay for an exact HGED-BFS verification.
 //
 // Verification is embarrassingly parallel, so an Index can fan it out over
 // a bounded pool of pooled solvers (Index.Parallelism). The engine is
@@ -30,7 +26,6 @@ import (
 	"hged/internal/core"
 	"hged/internal/hypergraph"
 	"hged/internal/multiset"
-	"hged/internal/pivot"
 )
 
 // signature is the per-graph filter summary: entity counts, dense label
@@ -161,27 +156,17 @@ func combinedFilter(a, b signature) int {
 }
 
 // Index is a similarity-search index over a corpus of hypergraphs. Build
-// once with Build; Search and Nearest may be called repeatedly. An
-// attached pivot table (BuildPivots / AttachPivots) accelerates both with
-// triangle-inequality bounds; without one, every query is the linear
-// filter-and-verify scan.
+// once with Build; Search and Nearest may be called repeatedly, each a
+// linear filter-and-verify scan.
 type Index struct {
 	graphs []*hypergraph.Hypergraph
 	sigs   sigTable
-	// pivots, when non-nil with at least one pivot, adds the
-	// triangle-inequality candidate filter in front of verification.
-	pivots *pivot.Index
 	// MaxExpansions caps each verification search (0 = solver default).
 	MaxExpansions int64
 	// Parallelism is the number of verification workers, each with its own
 	// pooled solver. Values ≤ 1 verify sequentially on one solver. Matches
 	// and stats are identical at every setting; only wall-clock changes.
 	Parallelism int
-	// BoundTimer, when non-nil, wraps the query-to-pivot distance
-	// computation of each pivoted query, so callers can record
-	// bound-computation latency without the engine reading the wall clock
-	// (solver code must stay a pure function of its inputs).
-	BoundTimer func(compute func())
 }
 
 // Build indexes the corpus. The graphs are retained by reference (Build
@@ -201,8 +186,7 @@ func Build(graphs []*hypergraph.Hypergraph) *Index {
 // compute it fresh. Callers (the server's incremental refresh) map rows by
 // (name, generation), so a reused row is guaranteed to describe the same
 // frozen graph. Signatures are pure functions of the graph, so the result
-// is byte-identical to a full Build; pivot tables are not carried — they
-// bind to the whole corpus and must be re-attached or rebuilt.
+// is byte-identical to a full Build.
 func BuildReusing(graphs []*hypergraph.Hypergraph, prev *Index, reuse []int) *Index {
 	if prev == nil || len(reuse) != len(graphs) {
 		return Build(graphs)
@@ -233,8 +217,7 @@ type Match struct {
 
 // FilterStats reports how candidates were eliminated during one search.
 // The fields partition the corpus: PrunedByCount + PrunedByLabel +
-// PrunedByCard + PrunedByBound + PrunedByTriangle + AdmittedByUpperBound +
-// Verified == Candidates.
+// PrunedByCard + PrunedByBound + Verified == Candidates.
 type FilterStats struct {
 	Candidates    int // corpus size
 	PrunedByCount int
@@ -243,20 +226,9 @@ type FilterStats struct {
 	// PrunedByBound counts kNN candidates never verified because their
 	// combined lower bound already exceeded the k-th best verified
 	// distance (the bound-ordered early stop). Always 0 in range search.
-	PrunedByBound int
-	// PrunedByTriangle counts candidates eliminated by the pivot index's
-	// triangle-inequality lower bound: in range search because the bound
-	// exceeded τ, in kNN because the bound-ordered early stop cut a
-	// candidate whose triangle bound (not its signature bound) was the
-	// binding constraint. Always 0 without an attached pivot index.
-	PrunedByTriangle int
-	// AdmittedByUpperBound counts matches accepted without verification
-	// because the pivot bound interval collapsed (lower == upper pins the
-	// exact distance) within the verification threshold — typically corpus
-	// members that are pivots, or isomorphic to one.
-	AdmittedByUpperBound int
-	Verified             int // exact HGED verifications performed
-	VerifiedWithin       int // verifications that ended ≤ τ
+	PrunedByBound  int
+	Verified       int // exact HGED verifications performed
+	VerifiedWithin int // verifications that ended ≤ τ
 }
 
 // unboundedTau is the sentinel kNN threshold while fewer than k candidates
@@ -288,11 +260,6 @@ func (ix *Index) SearchContext(ctx context.Context, q *hypergraph.Hypergraph, ta
 	}
 	qs := signatureOf(q)
 	stats := FilterStats{Candidates: len(ix.graphs)}
-	qd, err := ix.queryPivotDistances(ctx, q)
-	if err != nil {
-		return nil, stats, err
-	}
-	var admitted []Match
 	t := &ix.sigs
 	survivors := make([]int, 0, t.size())
 	for i := 0; i < t.size(); i++ {
@@ -311,22 +278,6 @@ func (ix *Index) SearchContext(ctx context.Context, q *hypergraph.Hypergraph, ta
 		case cardFilter(qs, s) > tau:
 			stats.PrunedByCard++
 		default:
-			if qd != nil {
-				// Triangle bounds: a lower bound above τ proves a
-				// non-match; a collapsed interval within τ pins the exact
-				// distance and admits the match with no verification.
-				if lb, ub, ok := ix.pivots.Bounds(qd, i); ok {
-					if lb > tau {
-						stats.PrunedByTriangle++
-						continue
-					}
-					if lb == ub && ub <= tau {
-						stats.AdmittedByUpperBound++
-						admitted = append(admitted, Match{ID: i, Distance: ub})
-						continue
-					}
-				}
-			}
 			survivors = append(survivors, i)
 		}
 	}
@@ -345,7 +296,7 @@ func (ix *Index) SearchContext(ctx context.Context, q *hypergraph.Hypergraph, ta
 		return nil, stats, fmt.Errorf("search: range scan aborted after %d/%d verifications: %w",
 			done, len(survivors), err)
 	}
-	out := admitted
+	var out []Match
 	for j, r := range results {
 		if r.within {
 			stats.VerifiedWithin++
@@ -431,13 +382,12 @@ const nearestRound = 16
 
 // Nearest returns the k corpus members closest to q by HGED, ascending by
 // distance then id (equal distances resolve to the smaller ID). It expands
-// candidates in lower-bound order (the combined signature bound, tightened
-// by the triangle bound when a pivot table is attached), round by round:
-// each round verifies up to nearestRound candidates under the k-th-best
-// distance of the previous rounds (shared with the workers through an
-// atomically tightening threshold) and stops once the next candidate's
-// bound exceeds it; the skipped tail is reported as PrunedByBound, or
-// PrunedByTriangle where the triangle bound was the binding constraint.
+// candidates in lower-bound order (the combined signature bound), round by
+// round: each round verifies up to nearestRound candidates under the
+// k-th-best distance of the previous rounds (shared with the workers
+// through an atomically tightening threshold) and stops once the next
+// candidate's bound exceeds it; the skipped tail is reported as
+// PrunedByBound.
 func (ix *Index) Nearest(q *hypergraph.Hypergraph, k int) ([]Match, FilterStats, error) {
 	return ix.NearestContext(context.Background(), q, k)
 }
@@ -451,35 +401,11 @@ func (ix *Index) NearestContext(ctx context.Context, q *hypergraph.Hypergraph, k
 	}
 	qs := signatureOf(q)
 	stats := FilterStats{Candidates: len(ix.graphs)}
-	qd, err := ix.queryPivotDistances(ctx, q)
-	if err != nil {
-		return nil, stats, err
-	}
 
-	type cand struct {
-		id    int
-		bound int
-		// triangle records that the triangle lower bound (not the
-		// signature bound) is the binding constraint, for prune
-		// attribution; known pins the exact distance (collapsed interval).
-		triangle bool
-		known    bool
-		dist     int
-	}
+	type cand struct{ id, bound int }
 	cands := make([]cand, ix.sigs.size())
 	for i := range cands {
-		c := cand{id: i, bound: combinedFilter(qs, ix.sigs.at(i))}
-		if qd != nil {
-			if lb, ub, ok := ix.pivots.Bounds(qd, i); ok {
-				if lb > c.bound {
-					c.bound, c.triangle = lb, true
-				}
-				if lb == ub {
-					c.known, c.dist = true, ub
-				}
-			}
-		}
-		cands[i] = c
+		cands[i] = cand{id: i, bound: combinedFilter(qs, ix.sigs.at(i))}
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].bound != cands[b].bound {
@@ -520,44 +446,26 @@ func (ix *Index) NearestContext(ctx context.Context, q *hypergraph.Hypergraph, k
 			end++
 		}
 		base := pos
-		roundKnown := 0
-		for j := pos; j < end; j++ {
-			if cands[j].known {
-				roundKnown++
-			}
-		}
 		results := make([]core.Result, end-pos)
 		done, err := ix.forEach(ctx, end-pos, func(sv *core.Solver, j int) {
-			c := cands[base+j]
 			t := int(sharedTau.Load())
-			if c.known {
-				// The pivot bounds already pin the exact distance: no
-				// solver run, same threshold semantics as a verification.
-				results[j] = core.Result{Distance: c.dist, Exact: true, Exceeded: t < unboundedTau && c.dist > t}
-				return
-			}
 			opts := core.Options{MaxExpansions: ix.MaxExpansions, Context: ctx}
 			if t < unboundedTau {
 				opts.Threshold = t
 			}
-			results[j] = sv.BFS(q, ix.graphs[c.id], opts)
+			results[j] = sv.BFS(q, ix.graphs[cands[base+j].id], opts)
 		})
 		if err != nil {
-			// Partial round: admitted/verified attribution is unknowable
-			// mid-flight, so fold everything into Verified for the report.
 			stats.Verified += done
 			return nil, stats, fmt.Errorf("search: kNN scan aborted after %d/%d candidates: %w",
 				base+done, len(cands), err)
 		}
-		stats.Verified += (end - pos) - roundKnown
-		stats.AdmittedByUpperBound += roundKnown
+		stats.Verified += end - pos
 		for j := range results {
 			if results[j].Exceeded {
 				continue
 			}
-			if !cands[base+j].known {
-				stats.VerifiedWithin++
-			}
+			stats.VerifiedWithin++
 			best = append(best, Match{ID: cands[base+j].id, Distance: results[j].Distance})
 			sortMatches(best)
 			if len(best) > k {
@@ -566,12 +474,6 @@ func (ix *Index) NearestContext(ctx context.Context, q *hypergraph.Hypergraph, k
 		}
 		pos = end
 	}
-	for _, c := range cands[pos:] {
-		if c.triangle {
-			stats.PrunedByTriangle++
-		} else {
-			stats.PrunedByBound++
-		}
-	}
+	stats.PrunedByBound += len(cands) - pos
 	return best, stats, nil
 }

@@ -54,7 +54,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		if stats.PrunedByCount+stats.PrunedByLabel+stats.PrunedByCard+stats.PrunedByBound+
-			stats.PrunedByTriangle+stats.AdmittedByUpperBound+stats.Verified != stats.Candidates {
+			stats.Verified != stats.Candidates {
 			t.Fatalf("trial %d: stats don't add up: %+v", trial, stats)
 		}
 		if stats.PrunedByBound != 0 {
@@ -113,7 +113,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.PrunedByCount+stats.PrunedByLabel+stats.PrunedByCard+stats.PrunedByBound+
-			stats.PrunedByTriangle+stats.AdmittedByUpperBound+stats.Verified != stats.Candidates {
+			stats.Verified != stats.Candidates {
 			t.Fatalf("trial %d: kNN stats don't add up: %+v", trial, stats)
 		}
 		// Brute-force k smallest distances (ties arbitrary → compare the

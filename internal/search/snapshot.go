@@ -1,18 +1,19 @@
 package search
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"hged/internal/hypergraph"
-	"hged/internal/pivot"
+	"hged/internal/multiset"
 )
 
 // Snapshot is the persistable state of an Index minus the graphs
 // themselves: the signature table's stride-1 columns and arenas exactly as
-// they sit in memory, the per-graph signature digests, and the attached
-// pivot table (nil when none). hgio serializes it into the combined corpus
-// snapshot (.hgx); FromSnapshot restores an Index from it without
-// recomputing a single signature.
+// they sit in memory, and the per-graph signature digests. hgio serializes
+// it into the combined corpus snapshot (.hgx); FromSnapshot restores an
+// Index from it without recomputing a single signature.
 //
 // All slices alias the index that produced them — treat a Snapshot as
 // read-only.
@@ -33,12 +34,10 @@ type Snapshot struct {
 	EdgeCounts []int32
 	// Digests fingerprints each graph's signature (see SignatureDigests).
 	Digests []uint64
-	// Pivots is the attached pivot table, or nil.
-	Pivots *pivot.Index
 }
 
-// Snapshot dumps the index's signature table, digests, and pivot table as
-// views into the live index (no copies — the caller must not mutate them).
+// Snapshot dumps the index's signature table and digests as views into the
+// live index (no copies — the caller must not mutate them).
 func (ix *Index) Snapshot() *Snapshot {
 	t := &ix.sigs
 	return &Snapshot{
@@ -47,7 +46,6 @@ func (ix *Index) Snapshot() *Snapshot {
 		NodeOff: t.nodeOff, NodeLabels: t.nodeLabels, NodeCounts: t.nodeCounts,
 		EdgeOff: t.edgeOff, EdgeLabels: t.edgeLabels, EdgeCounts: t.edgeCounts,
 		Digests: ix.SignatureDigests(),
-		Pivots:  ix.pivots,
 	}
 }
 
@@ -57,8 +55,7 @@ func (ix *Index) Snapshot() *Snapshot {
 // stride-1 columns are cross-checked against each graph's actual entity
 // counts, and the recomputed digests must equal s.Digests — so a snapshot
 // restored against the wrong corpus, or an internally inconsistent one, is
-// rejected rather than silently mis-pruning. A non-empty s.Pivots is
-// attached under the same digest binding AttachPivots enforces.
+// rejected rather than silently mis-pruning.
 //
 // The snapshot's slices are retained by the returned index; neither may be
 // mutated afterwards. Graphs loaded frozen-first (hgio.ReadBinary) keep
@@ -151,10 +148,49 @@ func FromSnapshot(graphs []*hypergraph.Hypergraph, s *Snapshot) (*Index, error) 
 			return nil, fmt.Errorf("search: snapshot graph %d signature digest mismatch (stored %016x, recomputed %016x)", i, want, got)
 		}
 	}
-	if s.Pivots != nil && s.Pivots.K() > 0 {
-		if err := ix.AttachPivots(s.Pivots, s.Digests); err != nil {
-			return nil, err
-		}
-	}
 	return ix, nil
+}
+
+// SignatureDigests fingerprints every corpus graph's filter signature
+// (FNV-1a over a canonical encoding of counts, cardinalities and label
+// multisets). Corpus snapshots persist these so a restored signature table
+// can be checked against the graphs it is restored over.
+func (ix *Index) SignatureDigests() []uint64 {
+	out := make([]uint64, ix.sigs.size())
+	for i := range out {
+		out[i] = ix.sigs.at(i).digest()
+	}
+	return out
+}
+
+// digest canonically encodes the signature into an FNV-1a fingerprint.
+func (s signature) digest() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(int64(s.n))
+	put(int64(s.m))
+	put(int64(s.incid))
+	put(int64(len(s.cards)))
+	for _, c := range s.cards {
+		put(int64(c))
+	}
+	putCounts(put, s.nodeLabels)
+	putCounts(put, s.edgeLabels)
+	return h.Sum64()
+}
+
+// putCounts feeds a label multiset into the digest: the number of distinct
+// labels, then the (label, multiplicity) pairs in ascending label order —
+// which Sorted maintains by construction, so the bytes are identical to
+// the historical map-and-sort encoding and old snapshots keep loading.
+func putCounts(put func(int64), s multiset.Sorted) {
+	put(int64(len(s.Labels)))
+	for i, l := range s.Labels {
+		put(int64(l))
+		put(int64(s.Counts[i]))
+	}
 }

@@ -1,9 +1,9 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hged/internal/gen"
@@ -11,48 +11,55 @@ import (
 
 // TestSnapshotRoundTrip restores an index from its own snapshot and checks
 // that matches and FilterStats for range and kNN queries are identical to
-// the original, with and without an attached pivot table.
+// the original.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, pivots := range []int{0, 4} {
-		graphs := corpus(36, 17)
-		ix := Build(graphs)
-		if pivots > 0 {
-			if _, err := ix.BuildPivots(context.Background(), pivots); err != nil {
-				t.Fatal(err)
-			}
+	graphs := corpus(36, 17)
+	ix := Build(graphs)
+	re, err := FromSnapshot(graphs, ix.Snapshot())
+	if err != nil {
+		t.Fatalf("FromSnapshot: %v", err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 6; trial++ {
+		q := gen.Uniform(3+rng.Intn(4), rng.Intn(4), 3, 3, 2, rng.Int63()+1)
+		tau := rng.Intn(7)
+		m1, s1, err1 := ix.Search(q, tau)
+		m2, s2, err2 := re.Search(q, tau)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		re, err := FromSnapshot(graphs, ix.Snapshot())
-		if err != nil {
-			t.Fatalf("pivots=%d: FromSnapshot: %v", pivots, err)
+		if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
+			t.Fatalf("trial %d: range diverged\n%v %+v\n%v %+v", trial, m1, s1, m2, s2)
 		}
-		if (re.Pivots() == nil) != (pivots == 0) {
-			t.Fatalf("pivots=%d: restored pivot table presence wrong", pivots)
+		k := 1 + rng.Intn(5)
+		m1, s1, err1 = ix.Nearest(q, k)
+		m2, s2, err2 = re.Nearest(q, k)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		rng := rand.New(rand.NewSource(99))
-		for trial := 0; trial < 6; trial++ {
-			q := gen.Uniform(3+rng.Intn(4), rng.Intn(4), 3, 3, 2, rng.Int63()+1)
-			tau := rng.Intn(7)
-			m1, s1, err1 := ix.Search(q, tau)
-			m2, s2, err2 := re.Search(q, tau)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
-				t.Fatalf("pivots=%d trial %d: range diverged\n%v %+v\n%v %+v", pivots, trial, m1, s1, m2, s2)
-			}
-			k := 1 + rng.Intn(5)
-			m1, s1, err1 = ix.Nearest(q, k)
-			m2, s2, err2 = re.Nearest(q, k)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
-				t.Fatalf("pivots=%d trial %d: kNN diverged\n%v %+v\n%v %+v", pivots, trial, m1, s1, m2, s2)
-			}
+		if fmt.Sprint(m1) != fmt.Sprint(m2) || s1 != s2 {
+			t.Fatalf("trial %d: kNN diverged\n%v %+v\n%v %+v", trial, m1, s1, m2, s2)
 		}
-		if fmt.Sprint(ix.SignatureDigests()) != fmt.Sprint(re.SignatureDigests()) {
-			t.Fatalf("pivots=%d: digests diverged", pivots)
-		}
+	}
+	if fmt.Sprint(ix.SignatureDigests()) != fmt.Sprint(re.SignatureDigests()) {
+		t.Fatal("digests diverged")
+	}
+}
+
+// Digests are order-sensitive and content-sensitive.
+func TestSignatureDigests(t *testing.T) {
+	corpusGraphs, _ := plantedCorpus(t)
+	a := Build(corpusGraphs).SignatureDigests()
+	b := Build(corpusGraphs).SignatureDigests()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("digests must be deterministic")
+	}
+	seen := map[uint64]int{}
+	for _, d := range a {
+		seen[d]++
+	}
+	if len(seen) < 2 {
+		t.Fatal("digests of distinct graphs should differ")
 	}
 }
 

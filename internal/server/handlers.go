@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -534,7 +533,6 @@ type searchIndex struct {
 
 	building  bool
 	buildDone chan struct{}  // closed when the current flight finishes
-	buildErr  error          // outcome of the last finished flight
 	buildHook func()         // test seam: runs inside the flight, before install
 	flights   sync.WaitGroup // in-flight rebuilds; Server.Close drains it
 }
@@ -599,18 +597,17 @@ func (s *Server) corpusIndex(ctx context.Context, allowStale bool) (*hged.Search
 		if !s.search.building {
 			s.search.building = true
 			s.search.buildDone = make(chan struct{})
-			s.search.buildErr = nil
 			spec := buildSpec{
 				fp: fp, names: names, epochs: epochs, gens: gens, graphs: graphs,
 				prevIx: stale, prevNames: s.search.names,
 				prevEpochs: s.search.epochs, prevGens: s.search.gens,
 				hook: s.search.buildHook, done: s.search.buildDone,
 			}
-			// The flight runs on a detached context (a cancelled client must
-			// not waste the build other searchers wait on), so Server.Close
-			// can only wait for it through the flights WaitGroup (ctxdetach).
+			// The flight outlives the triggering request (a cancelled client
+			// must not waste the build other searchers wait on), so
+			// Server.Close can only wait for it through the flights WaitGroup.
 			s.search.flights.Add(1)
-			go s.rebuildIndex(context.WithoutCancel(ctx), spec)
+			go s.rebuildIndex(spec)
 		}
 		done := s.search.buildDone
 		s.search.mu.Unlock()
@@ -620,12 +617,6 @@ func (s *Server) corpusIndex(ctx context.Context, allowStale bool) (*hged.Search
 		}
 		select {
 		case <-done:
-			s.search.mu.Lock()
-			err := s.search.buildErr
-			s.search.mu.Unlock()
-			if err != nil {
-				return nil, nil, err
-			}
 			// Re-check: the flight may have installed an index for a corpus
 			// that has changed again in the meantime.
 		case <-ctx.Done():
@@ -636,10 +627,8 @@ func (s *Server) corpusIndex(ctx context.Context, allowStale bool) (*hged.Search
 
 // rebuildIndex is one single-flight index build: incremental when a
 // previous index exists (signature rows of unchanged (name, epoch,
-// generation) graphs are copied instead of recomputed), full otherwise. It
-// runs with a detached context; only a failed pivot precompute leaves the
-// previous index in place.
-func (s *Server) rebuildIndex(ctx context.Context, spec buildSpec) {
+// generation) graphs are copied instead of recomputed), full otherwise.
+func (s *Server) rebuildIndex(spec buildSpec) {
 	defer s.search.flights.Done()
 	var (
 		ix     *hged.SearchIndex
@@ -668,75 +657,16 @@ func (s *Server) rebuildIndex(ctx context.Context, spec buildSpec) {
 	if spec.hook != nil {
 		spec.hook()
 	}
-	err := s.equipPivots(ctx, ix)
-	if err == nil {
-		s.metrics.indexRebuilt(reused)
-	}
+	s.metrics.indexRebuilt(reused)
 	s.search.mu.Lock()
-	if err == nil {
-		s.search.ix = ix
-		s.search.names = spec.names
-		s.search.epochs = spec.epochs
-		s.search.gens = spec.gens
-		s.search.fp = spec.fp
-	}
-	s.search.buildErr = err
+	s.search.ix = ix
+	s.search.names = spec.names
+	s.search.epochs = spec.epochs
+	s.search.gens = spec.gens
+	s.search.fp = spec.fp
 	s.search.building = false
 	close(spec.done)
 	s.search.mu.Unlock()
-}
-
-// equipPivots attaches the configured pivot table to a freshly built
-// index: loaded from the snapshot when one matches this exact corpus and
-// pivot count, built (on all cores, capped per pair like synchronous
-// queries) and persisted otherwise. Build distances the cap cannot pin
-// stay unknown — the accelerator degrades toward the plain scan, never
-// turns unsound.
-func (s *Server) equipPivots(ctx context.Context, ix *hged.SearchIndex) error {
-	if s.cfg.Pivots <= 0 {
-		s.metrics.pivotAttached(0, "none")
-		return nil
-	}
-	digests := ix.SignatureDigests()
-	want := s.cfg.Pivots
-	if n := len(digests); want > n {
-		want = n
-	}
-	if path := s.cfg.IndexSnapshot; path != "" {
-		pv, snapDigests, err := hged.ReadPivotSnapshotFile(path)
-		switch {
-		case err != nil:
-			s.cfg.Logger.Printf("pivot snapshot %s unusable, rebuilding: %v", path, err)
-		case pv.K() != want:
-			s.cfg.Logger.Printf("pivot snapshot %s has %d pivots, want %d: rebuilding", path, pv.K(), want)
-		default:
-			if aerr := ix.AttachPivots(pv, snapDigests); aerr != nil {
-				s.cfg.Logger.Printf("pivot snapshot %s rejected, rebuilding: %v", path, aerr)
-			} else {
-				s.cfg.Logger.Printf("pivot index loaded from %s (%d pivots, %d graphs)", path, pv.K(), pv.Len())
-				s.metrics.pivotAttached(pv.K(), "snapshot")
-				return nil
-			}
-		}
-	}
-	ix.Parallelism = runtime.GOMAXPROCS(0)
-	ix.MaxExpansions = s.cfg.MaxSyncExpansions
-	pv, err := ix.BuildPivots(ctx, s.cfg.Pivots)
-	ix.Parallelism = 0
-	ix.MaxExpansions = 0
-	if err != nil {
-		return err
-	}
-	s.cfg.Logger.Printf("pivot index built (%d pivots, %d graphs)", pv.K(), pv.Len())
-	s.metrics.pivotAttached(pv.K(), "built")
-	if path := s.cfg.IndexSnapshot; path != "" {
-		if werr := hged.WritePivotSnapshotFile(path, pv, digests); werr != nil {
-			s.cfg.Logger.Printf("persisting pivot snapshot %s failed: %v", path, werr)
-		} else {
-			s.cfg.Logger.Printf("pivot snapshot written to %s", path)
-		}
-	}
-	return nil
 }
 
 // handleSearch runs a range (τ) or kNN similarity search of the query
@@ -778,30 +708,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parallelism = %d, must be ≥ 0", req.Parallelism)
 		return
 	}
+	// corpusIndex fails only when the request ends while it waits for a
+	// rebuild flight.
 	shared, names, err := s.corpusIndex(r.Context(), req.AllowStale)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "building search index: %v", err)
+		writeError(w, http.StatusServiceUnavailable, "building search index: %v", err)
 		return
 	}
 	// Shallow-copy the index so the per-request expansion cap and worker
-	// count never race with concurrent searches; the corpus slices and
-	// pivot table are shared read-only.
+	// count never race with concurrent searches; the corpus slices are
+	// shared read-only.
 	ix := *shared
 	ix.MaxExpansions = s.capExpansions(req.MaxExpansions)
 	ix.Parallelism = req.Parallelism
 	if ix.Parallelism > maxSearchParallelism {
 		ix.Parallelism = maxSearchParallelism
-	}
-	// Pivoted queries spend a few exact solves computing triangle bounds
-	// before filtering; the timer feeds the /metrics pivot histogram.
-	ix.BoundTimer = func(compute func()) {
-		boundStart := time.Now()
-		compute()
-		s.metrics.pivotBound(time.Since(boundStart))
 	}
 	// The request context is cancelled by http.TimeoutHandler at the
 	// response deadline and by client disconnects, so an abandoned scan

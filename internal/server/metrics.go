@@ -67,13 +67,6 @@ type Metrics struct {
 	searchFilter  hged.FilterStats
 	searchLatency *histogram
 
-	// pivot-index state and effort: the attached table's size and origin,
-	// and the latency of per-query triangle-bound computations (the
-	// histogram's count is the number of pivoted queries).
-	pivotCount        int
-	pivotSource       string
-	pivotBoundLatency *histogram
-
 	// corpus cold-start provenance: how the serving corpus came to be
 	// ("hgx" restored from a snapshot, "rebuilt" built from source files,
 	// "none" before either), how long that took, and the snapshot size.
@@ -102,11 +95,9 @@ type Metrics struct {
 
 func newMetrics() *Metrics {
 	return &Metrics{
-		endpoints:         make(map[string]*endpointMetrics),
-		searchLatency:     newHistogram(),
-		pivotSource:       "none",
-		pivotBoundLatency: newHistogram(),
-		snapSource:        "none",
+		endpoints:     make(map[string]*endpointMetrics),
+		searchLatency: newHistogram(),
+		snapSource:    "none",
 	}
 }
 
@@ -166,27 +157,9 @@ func (m *Metrics) searchDone(knn bool, st hged.FilterStats, d time.Duration) {
 	m.searchFilter.PrunedByLabel += st.PrunedByLabel
 	m.searchFilter.PrunedByCard += st.PrunedByCard
 	m.searchFilter.PrunedByBound += st.PrunedByBound
-	m.searchFilter.PrunedByTriangle += st.PrunedByTriangle
-	m.searchFilter.AdmittedByUpperBound += st.AdmittedByUpperBound
 	m.searchFilter.Verified += st.Verified
 	m.searchFilter.VerifiedWithin += st.VerifiedWithin
 	m.searchLatency.observe(d)
-}
-
-// pivotAttached records the pivot table now serving searches: its pivot
-// count and origin ("built", "snapshot", or "none").
-func (m *Metrics) pivotAttached(count int, source string) {
-	m.mu.Lock()
-	m.pivotCount = count
-	m.pivotSource = source
-	m.mu.Unlock()
-}
-
-// pivotBound records one query's triangle-bound computation latency.
-func (m *Metrics) pivotBound(d time.Duration) {
-	m.mu.Lock()
-	m.pivotBoundLatency.observe(d)
-	m.mu.Unlock()
 }
 
 // mutationDone accumulates one committed mutation batch's delta.
@@ -273,28 +246,17 @@ type MetricsSnapshot struct {
 	// mode ran, how candidates were eliminated (summed FilterStats — the
 	// prune counters partition candidates), and the end-to-end latency.
 	Search struct {
-		Range                int64      `json:"range"`
-		KNN                  int64      `json:"knn"`
-		Candidates           int64      `json:"candidates"`
-		PrunedByCount        int64      `json:"prunedByCount"`
-		PrunedByLabel        int64      `json:"prunedByLabel"`
-		PrunedByCard         int64      `json:"prunedByCard"`
-		PrunedByBound        int64      `json:"prunedByBound"`
-		PrunedByTriangle     int64      `json:"prunedByTriangle"`
-		AdmittedByUpperBound int64      `json:"admittedByUpperBound"`
-		Verified             int64      `json:"verified"`
-		VerifiedWithin       int64      `json:"verifiedWithin"`
-		Latency              *histogram `json:"latency"`
+		Range          int64      `json:"range"`
+		KNN            int64      `json:"knn"`
+		Candidates     int64      `json:"candidates"`
+		PrunedByCount  int64      `json:"prunedByCount"`
+		PrunedByLabel  int64      `json:"prunedByLabel"`
+		PrunedByCard   int64      `json:"prunedByCard"`
+		PrunedByBound  int64      `json:"prunedByBound"`
+		Verified       int64      `json:"verified"`
+		VerifiedWithin int64      `json:"verifiedWithin"`
+		Latency        *histogram `json:"latency"`
 	} `json:"search"`
-	// Pivot reports the similarity-search pivot index: the attached
-	// table's size and origin, and per-query triangle-bound computation
-	// latency (its count is how many pivoted queries ran).
-	Pivot struct {
-		Pivots            int        `json:"pivots"`
-		Source            string     `json:"source"`
-		BoundComputations int64      `json:"boundComputations"`
-		BoundLatency      *histogram `json:"boundLatency"`
-	} `json:"pivot"`
 	// Snapshot reports corpus cold-start provenance: whether the serving
 	// corpus was restored from a .hgx snapshot ("hgx"), rebuilt from
 	// source files ("rebuilt"), or neither yet ("none"), how long the
@@ -369,19 +331,11 @@ func (m *Metrics) snapshot(reg *Registry, jobs *JobManager) MetricsSnapshot {
 	snap.Search.PrunedByLabel = int64(m.searchFilter.PrunedByLabel)
 	snap.Search.PrunedByCard = int64(m.searchFilter.PrunedByCard)
 	snap.Search.PrunedByBound = int64(m.searchFilter.PrunedByBound)
-	snap.Search.PrunedByTriangle = int64(m.searchFilter.PrunedByTriangle)
-	snap.Search.AdmittedByUpperBound = int64(m.searchFilter.AdmittedByUpperBound)
 	snap.Search.Verified = int64(m.searchFilter.Verified)
 	snap.Search.VerifiedWithin = int64(m.searchFilter.VerifiedWithin)
 	snap.Search.Latency = newHistogram()
 	copy(snap.Search.Latency.Counts, m.searchLatency.Counts)
 	snap.Search.Latency.SumMS, snap.Search.Latency.Count = m.searchLatency.SumMS, m.searchLatency.Count
-	snap.Pivot.Pivots = m.pivotCount
-	snap.Pivot.Source = m.pivotSource
-	snap.Pivot.BoundComputations = m.pivotBoundLatency.Count
-	snap.Pivot.BoundLatency = newHistogram()
-	copy(snap.Pivot.BoundLatency.Counts, m.pivotBoundLatency.Counts)
-	snap.Pivot.BoundLatency.SumMS, snap.Pivot.BoundLatency.Count = m.pivotBoundLatency.SumMS, m.pivotBoundLatency.Count
 	snap.Snapshot.Source = m.snapSource
 	snap.Snapshot.LoadNs = m.snapLoadNs
 	snap.Snapshot.Bytes = m.snapBytes

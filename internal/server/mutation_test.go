@@ -1,7 +1,11 @@
 package server_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,5 +369,53 @@ func TestSearchServesStaleDuringRebuild(t *testing.T) {
 	}
 	if v.PinnedReaders != 0 {
 		t.Fatalf("pinnedReaders = %d after idle, want 0", v.PinnedReaders)
+	}
+}
+
+// A cancelled InitSearchIndex stops waiting for the rebuild flight and
+// returns ctx.Err(); the flight itself is detached from the caller, runs to
+// completion and installs the index, so the next call waits for that same
+// flight instead of starting a second build.
+func TestInitSearchIndexCancelled(t *testing.T) {
+	s := server.New(server.Config{})
+	for i := 0; i < 6; i++ {
+		g := hged.GenerateUniform(5, 3, 3, 3, 2, int64(300+i))
+		if _, err := s.Registry().Add(fmt.Sprintf("g%d", i), g, "builtin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var builds atomic.Int32
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s.SetSearchBuildHook(func() {
+		if builds.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- s.InitSearchIndex(ctx) }()
+	<-entered // the flight is parked in the hook
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled InitSearchIndex kept waiting on the parked flight")
+	}
+
+	close(release)
+	if err := s.InitSearchIndex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("index built %d times, want 1 (the cancelled wait's flight)", n)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

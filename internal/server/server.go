@@ -51,16 +51,6 @@ type Config struct {
 	// synchronous queries (requests may ask for less, never more). 0
 	// defaults to 2,000,000.
 	MaxSyncExpansions int64
-	// Pivots is the pivot count for the similarity-search metric index:
-	// when > 0 the search corpus gets a pivot table (built at
-	// InitSearchIndex, rebuilt lazily when uploads change the corpus) that
-	// prunes candidates by the triangle inequality before the signature
-	// filters. 0 disables the accelerator (plain linear filter-and-verify).
-	Pivots int
-	// IndexSnapshot, when non-empty, is the path the pivot table is
-	// persisted at: InitSearchIndex loads it when it matches the corpus
-	// (skipping the build) and writes it after building otherwise.
-	IndexSnapshot string
 	// CorpusSnapshot, when non-empty, is the path of the combined
 	// corpus+index snapshot (.hgx): LoadCorpusSnapshot restores the whole
 	// registry and search index from it in one shot (graphs land directly
@@ -130,13 +120,11 @@ func New(cfg Config) *Server {
 // Registry exposes the graph registry (for startup loading and tests).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// InitSearchIndex eagerly builds the similarity-search index — and its
-// pivot table when Config.Pivots > 0, loading Config.IndexSnapshot when it
-// matches the corpus and persisting a fresh build there otherwise — so the
-// first /v1/search query doesn't pay for the build. Call it after startup
-// loading; later uploads invalidate the index and it is rebuilt lazily
-// (including pivots) on the next search. ctx bounds the pivot-distance
-// precompute.
+// InitSearchIndex eagerly builds the similarity-search index so the first
+// /v1/search query doesn't pay for the build. Call it after startup
+// loading; later uploads invalidate the index and it is rebuilt lazily on
+// the next search. ctx bounds the wait for the build; a cancelled wait
+// returns ctx.Err() while the build itself runs to completion.
 func (s *Server) InitSearchIndex(ctx context.Context) error {
 	_, _, err := s.corpusIndex(ctx, false)
 	return err
@@ -160,10 +148,11 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Close gracefully shuts the server's job pool down: it stops accepting
 // jobs, drains queued and running jobs until ctx expires, then cancels the
 // stragglers. It also waits (until ctx expires) for any in-flight search
-// index rebuild — those run on detached contexts so a cancelled client
-// cannot waste the build, which makes this WaitGroup the only handle
-// shutdown has on them. The HTTP listener itself is the caller's to shut
-// down (http.Server.Shutdown), typically before calling Close.
+// index rebuild — those outlive the request that started them so a
+// cancelled client cannot waste the build, which makes this WaitGroup the
+// only handle shutdown has on them. The HTTP listener itself is the
+// caller's to shut down (http.Server.Shutdown), typically before calling
+// Close.
 func (s *Server) Close(ctx context.Context) error {
 	err := s.jobs.Close(ctx)
 	flightsDone := make(chan struct{})

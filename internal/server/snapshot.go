@@ -13,12 +13,10 @@ import (
 // LoadCorpusSnapshot cold-starts the server from a combined corpus+index
 // snapshot (.hgx): every graph is installed in the registry straight from
 // its frozen CSR form and the search index is adopted without recomputing a
-// signature or rebuilding a pivot table. want, when non-nil, is the set of
-// graph names the caller intended to load (sorted or not — it is sorted
-// here); a snapshot covering a different corpus is refused so a stale file
-// can never shadow the operator's -load flags. The snapshot must also agree
-// with Config.Pivots (same effective pivot count), because serving with a
-// different accelerator than configured would change FilterStats.
+// signature. want, when non-nil, is the set of graph names the caller
+// intended to load (sorted or not — it is sorted here); a snapshot covering
+// a different corpus is refused so a stale file can never shadow the
+// operator's -load flags.
 //
 // The registry must be empty — this is a cold-start path, not a merge. On
 // any error nothing is installed and the caller should fall back to loading
@@ -51,17 +49,6 @@ func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []str
 			}
 		}
 	}
-	wantPivots := s.cfg.Pivots
-	if n := len(names); wantPivots > n {
-		wantPivots = n
-	}
-	gotPivots := 0
-	if pv := ix.Pivots(); pv != nil {
-		gotPivots = pv.K()
-	}
-	if gotPivots != wantPivots {
-		return fmt.Errorf("corpus snapshot: has %d pivots, config wants %d", gotPivots, wantPivots)
-	}
 	for _, name := range names {
 		if err := validName(name); err != nil {
 			return fmt.Errorf("corpus snapshot: %w", err)
@@ -84,17 +71,14 @@ func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []str
 	s.search.gens = gens
 	s.search.fp = fp
 	s.search.mu.Unlock()
-	if gotPivots > 0 {
-		s.metrics.pivotAttached(gotPivots, "snapshot")
-	}
 	s.metrics.snapshotLoaded("hgx", time.Since(start), nbytes, len(names))
-	s.cfg.Logger.Printf("corpus+index restored from %s (%d graphs, %d pivots, %d bytes)",
-		path, len(names), gotPivots, nbytes)
+	s.cfg.Logger.Printf("corpus+index restored from %s (%d graphs, %d bytes)",
+		path, len(names), nbytes)
 	return nil
 }
 
 // SaveCorpusSnapshot persists the current corpus and search index as a
-// combined snapshot at path, building the index (and pivot table) first if
+// combined snapshot at path, building the index first if
 // the registry changed since the last build. It also records the corpus as
 // "rebuilt" in the /metrics snapshot section — by construction it is only
 // reached when LoadCorpusSnapshot did not serve the cold start.

@@ -62,10 +62,6 @@ type snapshotMetrics struct {
 		Bytes  int64  `json:"bytes"`
 		Graphs int    `json:"graphs"`
 	} `json:"snapshot"`
-	Pivot struct {
-		Pivots int    `json:"pivots"`
-		Source string `json:"source"`
-	} `json:"pivot"`
 }
 
 // searchQueries are issued verbatim against both servers; every response
@@ -91,7 +87,7 @@ func TestCorpusSnapshotColdStart(t *testing.T) {
 
 	// First server: text-parsed corpus, built index, persisted snapshot —
 	// the flow cmd/hgedd runs when the snapshot is missing.
-	first := server.New(server.Config{Pivots: 2, CorpusSnapshot: snap})
+	first := server.New(server.Config{CorpusSnapshot: snap})
 	for i, name := range names {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
@@ -124,9 +120,9 @@ func TestCorpusSnapshotColdStart(t *testing.T) {
 	}
 
 	// Second server: cold start from the snapshot only — no graph files
-	// touched, no signature computed, no pivot distance solved, and (the
-	// tentpole property) no CSR freeze rebuilt.
-	second := server.New(server.Config{Pivots: 2, CorpusSnapshot: snap})
+	// touched, no signature computed, and (the tentpole property) no CSR
+	// freeze rebuilt.
+	second := server.New(server.Config{CorpusSnapshot: snap})
 	before := hypergraph.FreezeBuilds()
 	if err := second.LoadCorpusSnapshot(ctx, snap, names); err != nil {
 		t.Fatal(err)
@@ -155,21 +151,18 @@ func TestCorpusSnapshotColdStart(t *testing.T) {
 		m2.Snapshot.Bytes != m1.Snapshot.Bytes || m2.Snapshot.LoadNs <= 0 {
 		t.Fatalf("second server snapshot metrics = %+v, want hgx restore of %d bytes", m2.Snapshot, m1.Snapshot.Bytes)
 	}
-	if m2.Pivot.Source != "snapshot" || m2.Pivot.Pivots != 2 {
-		t.Fatalf("second server pivot metrics = %+v, want 2 pivots from snapshot", m2.Pivot)
-	}
 }
 
 // TestLoadCorpusSnapshotRejects covers the fall-back triggers: a corpus
-// mismatch, a pivot-count mismatch, a non-empty registry, and a corrupt
-// file must all error without installing anything.
+// mismatch, a non-empty registry, and a corrupt file must all error
+// without installing anything.
 func TestLoadCorpusSnapshotRejects(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "corpus.hgx")
 	names, paths := corpusFiles(t, dir, 6)
 	ctx := context.Background()
 
-	first := server.New(server.Config{Pivots: 2, CorpusSnapshot: snap})
+	first := server.New(server.Config{CorpusSnapshot: snap})
 	for i, name := range names {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
@@ -192,11 +185,10 @@ func TestLoadCorpusSnapshotRejects(t *testing.T) {
 		}
 		_ = s.Close(ctx)
 	}
-	check("different corpus", server.New(server.Config{Pivots: 2}),
+	check("different corpus", server.New(server.Config{}),
 		append([]string{"other"}, names[1:]...), snap)
-	check("shorter corpus", server.New(server.Config{Pivots: 2}), names[:4], snap)
-	check("pivot mismatch", server.New(server.Config{Pivots: 5}), names, snap)
-	check("missing file", server.New(server.Config{Pivots: 2}), names, filepath.Join(dir, "absent.hgx"))
+	check("shorter corpus", server.New(server.Config{}), names[:4], snap)
+	check("missing file", server.New(server.Config{}), names, filepath.Join(dir, "absent.hgx"))
 
 	wire, err := os.ReadFile(snap)
 	if err != nil {
@@ -207,9 +199,9 @@ func TestLoadCorpusSnapshotRejects(t *testing.T) {
 	if err := os.WriteFile(bad, wire, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	check("corrupt file", server.New(server.Config{Pivots: 2}), names, bad)
+	check("corrupt file", server.New(server.Config{}), names, bad)
 
-	occupied := server.New(server.Config{Pivots: 2})
+	occupied := server.New(server.Config{})
 	if _, err := occupied.Registry().Add("resident", hged.Fig1(), "builtin"); err != nil {
 		t.Fatal(err)
 	}
