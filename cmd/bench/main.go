@@ -604,6 +604,9 @@ func suite() []benchmark {
 		// copy-on-write batches, and keeping the search index fresh
 		// incrementally (one signature row recomputed, the rest copied)
 		// versus the stop-the-world from-scratch rebuild it replaces.
+		// index-splice is the one-row replace hgedd runs inside every
+		// committed mutation batch, written into a spare version's memory
+		// as the registry does.
 		{"Stream/mvcc-commit", func(b *testing.B) {
 			seed, steps := growthWorkload()
 			var published int64
@@ -628,6 +631,14 @@ func suite() []benchmark {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				search.Build(corpus)
+			}
+		}},
+		{"Stream/index-splice", func(b *testing.B) {
+			ix, at, g := streamSpliceWorkload()
+			spare := ix.Splice(at, 1, g)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spare = ix.SpliceInto(spare, at, 1, search.Build([]*hged.Hypergraph{g}))
 			}
 		}},
 		{"Stream/sigma-rebase", func(b *testing.B) {
@@ -809,6 +820,23 @@ func streamIndexWorkload() ([]*hged.Hypergraph, *search.Index, []int) {
 	}
 	next[7], reuse[7] = gen2.Graph(), -1
 	return next, prev, reuse
+}
+
+// streamSpliceWorkload builds a 256-graph corpus of small uniform graphs
+// shaped like hgeddbench's corpus-churn (3–5 nodes, 1–3 hyperedges of up to
+// 3 members) and the next generation of one member with a hyperedge added:
+// Splice replaces that member's row and copies the other 255.
+func streamSpliceWorkload() (*search.Index, int, *hged.Hypergraph) {
+	rng := rand.New(rand.NewSource(256))
+	corpus := make([]*hged.Hypergraph, 256)
+	for i := range corpus {
+		corpus[i] = gen.Uniform(3+rng.Intn(3), 1+rng.Intn(3), 3, 3, 2, rng.Int63()+1)
+	}
+	const at = 128
+	b := hypergraph.NewVersioned(corpus[at]).Begin()
+	b.AddEdge(1, 0, 1, 2)
+	next, _ := b.Commit()
+	return search.Build(corpus), at, next.Graph()
 }
 
 // sigmaRebaseWorkload warms a σ predictor over the growth graph, commits one

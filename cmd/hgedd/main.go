@@ -157,10 +157,6 @@ func run() error {
 				e.Name, e.Stats().Nodes, e.Stats().Edges)
 		}
 
-		// Build the similarity-search index before accepting traffic.
-		if err := srv.InitSearchIndex(ctx); err != nil {
-			return fmt.Errorf("search index: %w", err)
-		}
 		if *corpusSnapshot != "" {
 			if err := srv.SaveCorpusSnapshot(ctx, *corpusSnapshot); err != nil {
 				logger.Printf("persisting corpus snapshot %s failed: %v", *corpusSnapshot, err)

@@ -151,9 +151,9 @@ type (
 func BuildSearchIndex(corpus []*Hypergraph) *SearchIndex { return search.Build(corpus) }
 
 // BuildSearchIndexReusing indexes a corpus, copying the signature row for
-// every graph whose reuse entry names its row in prev (-1 recomputes) —
-// the incremental refresh path for versioned corpora. Results are
-// byte-identical to BuildSearchIndex.
+// every graph whose reuse entry names its row in prev (-1 recomputes).
+// Results are byte-identical to BuildSearchIndex. To change a few rows of
+// an index, SearchIndex.Splice is cheaper.
 func BuildSearchIndexReusing(corpus []*Hypergraph, prev *SearchIndex, reuse []int) *SearchIndex {
 	return search.BuildReusing(corpus, prev, reuse)
 }

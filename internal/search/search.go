@@ -19,6 +19,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,7 @@ func signatureOf(g *hypergraph.Hypergraph) signature {
 	for e := range s.cards {
 		s.cards[e] = int32(c.Arity(hypergraph.EdgeID(e)))
 	}
-	sort.Slice(s.cards, func(i, j int) bool { return s.cards[i] < s.cards[j] })
+	slices.Sort(s.cards)
 	return s
 }
 
@@ -161,6 +162,7 @@ func combinedFilter(a, b signature) int {
 type Index struct {
 	graphs []*hypergraph.Hypergraph
 	sigs   sigTable
+	mem    spliceMem // set by Splice: the arrays graphs and sigs are windows of
 	// MaxExpansions caps each verification search (0 = solver default).
 	MaxExpansions int64
 	// Parallelism is the number of verification workers, each with its own
@@ -183,10 +185,10 @@ func Build(graphs []*hypergraph.Hypergraph) *Index {
 // BuildReusing indexes the corpus like Build, but copies the signature row
 // for unchanged graphs out of a previous index instead of recomputing it:
 // reuse[i] names the row of prev holding graph i's signature, or -1 to
-// compute it fresh. Callers (the server's incremental refresh) map rows by
-// (name, generation), so a reused row is guaranteed to describe the same
-// frozen graph. Signatures are pure functions of the graph, so the result
-// is byte-identical to a full Build.
+// compute it fresh. The caller must only reuse a row that describes the
+// same frozen graph. Signatures are pure functions of the graph, so the
+// result is byte-identical to a full Build. To change a few rows of a
+// published index in place of a rebuild, use Splice.
 func BuildReusing(graphs []*hypergraph.Hypergraph, prev *Index, reuse []int) *Index {
 	if prev == nil || len(reuse) != len(graphs) {
 		return Build(graphs)
@@ -201,6 +203,124 @@ func BuildReusing(graphs []*hypergraph.Hypergraph, prev *Index, reuse []int) *In
 		}
 	}
 	return ix
+}
+
+// Splice returns a new index whose corpus is ix's with the del graphs at
+// position at replaced by gs: Splice(at, 0, g) inserts, Splice(at, 1)
+// deletes and Splice(at, 1, g) replaces. Only the rows of gs are computed;
+// the other rows' columns and arena ranges are copied and their offsets
+// shifted, so the result is byte-identical to Build over the new corpus. It
+// is copy-on-write: the result shares no writable memory with ix, which
+// stays valid for readers that loaded it. MaxExpansions and Parallelism
+// carry over.
+func (ix *Index) Splice(at, del int, gs ...*hypergraph.Hypergraph) *Index {
+	return ix.SpliceInto(nil, at, del, Build(gs))
+}
+
+// SpliceInto is Splice with the inserted rows taken from rows, an index
+// over the graphs to insert (Build(gs), which a caller can compute before
+// taking a lock; nil inserts nothing). The result is written into the
+// memory of spare — an index an earlier splice returned that nothing reads
+// any more — when that memory is large enough, and into fresh memory
+// otherwise. spare must not be used after the call; a nil spare, ix itself
+// or an index no splice returned is ignored. A writer that publishes one
+// version per write can hand each write the version the previous write
+// replaced: that memory is already resident, where a fresh table costs a
+// page fault per 4 KiB touched.
+func (ix *Index) SpliceInto(spare *Index, at, del int, rows *Index) *Index {
+	if at < 0 || del < 0 || at+del > ix.Len() {
+		panic(fmt.Sprintf("search: Splice(%d, %d) out of range for %d graphs", at, del, ix.Len()))
+	}
+	if rows == nil {
+		rows = noRows
+	}
+	t, mid, hi := &ix.sigs, &rows.sigs, at+del
+	ng, ni := ix.Len()-del+rows.Len(), t.ints()+mid.ints()
+	nlab := len(t.nodeLabels) + len(t.edgeLabels) + len(mid.nodeLabels) + len(mid.edgeLabels)
+	// The graph list is a window of one array, every int32 column a window
+	// of a second and both label arenas windows of a third.
+	var mem spliceMem
+	if spare != nil && spare != ix && spare.mem.fits(ng, ni, nlab) {
+		mem = spare.mem
+	} else {
+		mem = spliceMem{
+			graphs: make([]*hypergraph.Hypergraph, 0, ng+ng/4),
+			ints:   make([]int32, 0, ni+ni/4),
+			labels: make([]hypergraph.Label, 0, nlab+nlab/4),
+		}
+	}
+	graphs, ints, labels := mem.graphs[:0], mem.ints[:0], mem.labels[:0]
+	cl, ch := t.cardOff[at], t.cardOff[hi]
+	nl, nh := t.nodeOff[at], t.nodeOff[hi]
+	el, eh := t.edgeOff[at], t.edgeOff[hi]
+	return &Index{
+		graphs:        window(&graphs, ix.graphs[:at], rows.graphs, ix.graphs[hi:]),
+		mem:           mem,
+		MaxExpansions: ix.MaxExpansions,
+		Parallelism:   ix.Parallelism,
+		sigs: sigTable{
+			n:          window(&ints, t.n[:at], mid.n, t.n[hi:]),
+			m:          window(&ints, t.m[:at], mid.m, t.m[hi:]),
+			incid:      window(&ints, t.incid[:at], mid.incid, t.incid[hi:]),
+			cardOff:    spliceOffsets(&ints, t.cardOff, at, hi, mid.cardOff),
+			cards:      window(&ints, t.cards[:cl], mid.cards, t.cards[ch:]),
+			nodeOff:    spliceOffsets(&ints, t.nodeOff, at, hi, mid.nodeOff),
+			nodeLabels: window(&labels, t.nodeLabels[:nl], mid.nodeLabels, t.nodeLabels[nh:]),
+			nodeCounts: window(&ints, t.nodeCounts[:nl], mid.nodeCounts, t.nodeCounts[nh:]),
+			edgeOff:    spliceOffsets(&ints, t.edgeOff, at, hi, mid.edgeOff),
+			edgeLabels: window(&labels, t.edgeLabels[:el], mid.edgeLabels, t.edgeLabels[eh:]),
+			edgeCounts: window(&ints, t.edgeCounts[:el], mid.edgeCounts, t.edgeCounts[eh:]),
+		},
+	}
+}
+
+// noRows is the empty index SpliceInto inserts when given none.
+var noRows = Build(nil)
+
+// spliceMem holds the arrays a spliced index's graph list and signature
+// table are windows of.
+type spliceMem struct {
+	graphs []*hypergraph.Hypergraph
+	ints   []int32
+	labels []hypergraph.Label
+}
+
+func (m *spliceMem) fits(graphs, ints, labels int) bool {
+	return cap(m.graphs) >= graphs && cap(m.ints) >= ints && cap(m.labels) >= labels
+}
+
+// ints counts the int32 entries across the table's columns.
+func (t *sigTable) ints() int {
+	return 3*len(t.n) + len(t.cardOff) + len(t.nodeOff) + len(t.edgeOff) +
+		len(t.cards) + len(t.nodeCounts) + len(t.edgeCounts)
+}
+
+// window appends parts to *buf and returns them as one column capped at
+// its length, so later appends to *buf never reach into it.
+func window[T any](buf *[]T, parts ...[]T) []T {
+	lo := len(*buf)
+	for _, p := range parts {
+		*buf = append(*buf, p...)
+	}
+	return (*buf)[lo:len(*buf):len(*buf)]
+}
+
+// spliceOffsets is Splice for one offset column, appended to *buf as a
+// window: rows [at, hi) of off are replaced by the rows of mid (a column
+// starting at 0), which are rebased onto off[at], and the rows after hi
+// shift by the change in arena length.
+func spliceOffsets(buf *[]int32, off []int32, at, hi int, mid []int32) []int32 {
+	lo := len(*buf)
+	base := off[at]
+	shift := base + mid[len(mid)-1] - off[hi]
+	*buf = append(*buf, off[:at+1]...)
+	for _, o := range mid[1:] {
+		*buf = append(*buf, base+o)
+	}
+	for _, o := range off[hi+1:] {
+		*buf = append(*buf, o+shift)
+	}
+	return (*buf)[lo:len(*buf):len(*buf)]
 }
 
 // Len returns the corpus size.

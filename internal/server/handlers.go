@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hged"
@@ -277,8 +276,8 @@ func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeleteGraph unloads a graph. Pinned readers and in-flight requests
-// against its generations finish undisturbed; the search index drops the
-// corpus entry on its next fingerprint check.
+// against its generations finish undisturbed; the registry drops the
+// graph's search-index row in the same write, so no later search sees it.
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.reg.Remove(name) {
@@ -507,166 +506,11 @@ type searchRequest struct {
 	// (clamped to maxSearchParallelism); results are identical at every
 	// setting. 0 or 1 verifies sequentially.
 	Parallelism int `json:"parallelism"`
-	// AllowStale serves the last-good index immediately when the corpus
-	// changed and a rebuild is in flight, instead of waiting for the fresh
-	// index (the read-your-writes default).
-	AllowStale bool `json:"allowStale,omitempty"`
 }
 
 type searchMatch struct {
 	Name     string `json:"name"`
 	Distance int    `json:"distance"`
-}
-
-// searchIndex holds the shared similarity-search index over the registry
-// corpus, fingerprinted by the sorted (name, generation) set it was built
-// over. Rebuilds are single-flight and run outside the lock, so searches on
-// an up-to-date corpus never contend with a build, and clients that opt
-// into allowStale are served the last-good index while one rebuild runs.
-type searchIndex struct {
-	mu     sync.Mutex
-	fp     string // fingerprint of the corpus the index serves
-	names  []string
-	epochs []int64
-	gens   []int64
-	ix     *hged.SearchIndex
-
-	building  bool
-	buildDone chan struct{}  // closed when the current flight finishes
-	buildHook func()         // test seam: runs inside the flight, before install
-	flights   sync.WaitGroup // in-flight rebuilds; Server.Close drains it
-}
-
-// corpusState snapshots the registry into the inputs of an index build: a
-// fingerprint over the sorted (name, epoch, generation) triples plus the
-// parallel name/epoch/generation/graph slices. The epoch distinguishes a
-// name that was deleted and re-registered — its generations restart at 1,
-// so (name, generation) alone would alias the replaced graph. Fields are
-// length-prefixed so no name (validNames additionally exclude control
-// bytes) can forge a record boundary.
-func corpusState(entries []*GraphEntry) (fp string, names []string, epochs, gens []int64, graphs []*hged.Hypergraph) {
-	var sb strings.Builder
-	names = make([]string, len(entries))
-	epochs = make([]int64, len(entries))
-	gens = make([]int64, len(entries))
-	graphs = make([]*hged.Hypergraph, len(entries))
-	for i, e := range entries {
-		gen := e.Pin()
-		names[i] = e.Name
-		epochs[i] = e.Epoch()
-		gens[i] = gen.Seq()
-		graphs[i] = gen.Graph()
-		gen.Unpin()
-		fmt.Fprintf(&sb, "%d:%s\x00%d\x00%d\x1e", len(e.Name), e.Name, epochs[i], gens[i])
-	}
-	return sb.String(), names, epochs, gens, graphs
-}
-
-// buildSpec carries one rebuild flight's inputs.
-type buildSpec struct {
-	fp     string
-	names  []string
-	epochs []int64
-	gens   []int64
-	graphs []*hged.Hypergraph
-	// previous installed index, for incremental signature-row reuse
-	prevIx     *hged.SearchIndex
-	prevNames  []string
-	prevEpochs []int64
-	prevGens   []int64
-	hook       func()
-	done       chan struct{}
-}
-
-// corpusIndex returns the shared search index for the current corpus.
-// When the corpus changed, exactly one flight rebuilds it — detached from
-// the triggering request's context, so a cancelled client cannot waste the
-// build every other searcher is waiting on — while the caller either waits
-// (default: read-your-writes) or, with allowStale, is served the last-good
-// index immediately.
-func (s *Server) corpusIndex(ctx context.Context, allowStale bool) (*hged.SearchIndex, []string, error) {
-	for {
-		fp, names, epochs, gens, graphs := corpusState(s.reg.List())
-		s.search.mu.Lock()
-		if s.search.ix != nil && s.search.fp == fp {
-			ix, ixNames := s.search.ix, s.search.names
-			s.search.mu.Unlock()
-			return ix, ixNames, nil
-		}
-		stale, staleNames := s.search.ix, s.search.names
-		if !s.search.building {
-			s.search.building = true
-			s.search.buildDone = make(chan struct{})
-			spec := buildSpec{
-				fp: fp, names: names, epochs: epochs, gens: gens, graphs: graphs,
-				prevIx: stale, prevNames: s.search.names,
-				prevEpochs: s.search.epochs, prevGens: s.search.gens,
-				hook: s.search.buildHook, done: s.search.buildDone,
-			}
-			// The flight outlives the triggering request (a cancelled client
-			// must not waste the build other searchers wait on), so
-			// Server.Close can only wait for it through the flights WaitGroup.
-			s.search.flights.Add(1)
-			go s.rebuildIndex(spec)
-		}
-		done := s.search.buildDone
-		s.search.mu.Unlock()
-		if allowStale && stale != nil {
-			s.metrics.searchStaleServed()
-			return stale, staleNames, nil
-		}
-		select {
-		case <-done:
-			// Re-check: the flight may have installed an index for a corpus
-			// that has changed again in the meantime.
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-// rebuildIndex is one single-flight index build: incremental when a
-// previous index exists (signature rows of unchanged (name, epoch,
-// generation) graphs are copied instead of recomputed), full otherwise.
-func (s *Server) rebuildIndex(spec buildSpec) {
-	defer s.search.flights.Done()
-	var (
-		ix     *hged.SearchIndex
-		reused int
-	)
-	if spec.prevIx != nil {
-		prevRow := make(map[string]int, len(spec.prevNames))
-		for i, n := range spec.prevNames {
-			prevRow[n] = i
-		}
-		reuse := make([]int, len(spec.names))
-		for i, n := range spec.names {
-			reuse[i] = -1
-			// The epoch must match too: a re-registered name restarts at
-			// generation 1 with different content, and reusing the deleted
-			// entry's row would verify searches against the wrong graph.
-			if j, ok := prevRow[n]; ok && spec.prevEpochs[j] == spec.epochs[i] && spec.prevGens[j] == spec.gens[i] {
-				reuse[i] = j
-				reused++
-			}
-		}
-		ix = hged.BuildSearchIndexReusing(spec.graphs, spec.prevIx, reuse)
-	} else {
-		ix = hged.BuildSearchIndex(spec.graphs)
-	}
-	if spec.hook != nil {
-		spec.hook()
-	}
-	s.metrics.indexRebuilt(reused)
-	s.search.mu.Lock()
-	s.search.ix = ix
-	s.search.names = spec.names
-	s.search.epochs = spec.epochs
-	s.search.gens = spec.gens
-	s.search.fp = spec.fp
-	s.search.building = false
-	close(spec.done)
-	s.search.mu.Unlock()
 }
 
 // handleSearch runs a range (τ) or kNN similarity search of the query
@@ -708,17 +552,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parallelism = %d, must be ≥ 0", req.Parallelism)
 		return
 	}
-	// corpusIndex fails only when the request ends while it waits for a
-	// rebuild flight.
-	shared, names, err := s.corpusIndex(r.Context(), req.AllowStale)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "building search index: %v", err)
-		return
-	}
-	// Shallow-copy the index so the per-request expansion cap and worker
-	// count never race with concurrent searches; the corpus slices are
-	// shared read-only.
-	ix := *shared
+	// The published corpus version already holds every write that
+	// returned before this request; the pin keeps writes from reusing its
+	// memory while the scan reads it. Shallow-copy its index so the
+	// per-request expansion cap and worker count never race with
+	// concurrent searches; the corpus slices are shared read-only.
+	c := s.reg.pin()
+	defer c.unpin()
+	ix := *c.ix
 	ix.MaxExpansions = s.capExpansions(req.MaxExpansions)
 	ix.Parallelism = req.Parallelism
 	if ix.Parallelism > maxSearchParallelism {
@@ -731,6 +572,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var (
 		matches []hged.SearchMatch
 		stats   hged.FilterStats
+		err     error
 	)
 	if req.K > 0 {
 		matches, stats, err = ix.NearestContext(r.Context(), q, req.K)
@@ -748,7 +590,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.searchDone(req.K > 0, stats, time.Since(start))
 	out := make([]searchMatch, len(matches))
 	for i, m := range matches {
-		out[i] = searchMatch{Name: names[m.ID], Distance: m.Distance}
+		out[i] = searchMatch{Name: c.names[m.ID], Distance: m.Distance}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "stats": stats})
 }

@@ -76,9 +76,7 @@ type Metrics struct {
 	snapGraphs int
 
 	// MVCC version-churn totals: committed mutation batches and what they
-	// changed, graph deletions, and how the search index kept up —
-	// incremental refreshes (with the signature rows they reused) versus
-	// full rebuilds, plus searches answered from a stale index by choice.
+	// changed, and graph deletions.
 	mutationBatches int64
 	nodesAdded      int64
 	nodesRemoved    int64
@@ -87,10 +85,6 @@ type Metrics struct {
 	relabeled       int64
 	fullDeltas      int64
 	graphsDeleted   int64
-	indexIncrements int64
-	indexFullBuilds int64
-	indexRowsReused int64
-	staleServed     int64
 }
 
 func newMetrics() *Metrics {
@@ -184,27 +178,6 @@ func (m *Metrics) graphDeleted() {
 	m.mu.Unlock()
 }
 
-// indexRebuilt records one installed search-index build: incremental when
-// it reused signature rows from the previous index, full otherwise.
-func (m *Metrics) indexRebuilt(rowsReused int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rowsReused > 0 {
-		m.indexIncrements++
-		m.indexRowsReused += int64(rowsReused)
-	} else {
-		m.indexFullBuilds++
-	}
-}
-
-// searchStaleServed records one search answered from the last-good index
-// while a rebuild was in flight (the client opted in with allowStale).
-func (m *Metrics) searchStaleServed() {
-	m.mu.Lock()
-	m.staleServed++
-	m.mu.Unlock()
-}
-
 // snapshotLoaded records how the serving corpus was cold-started: restored
 // from a .hgx snapshot ("hgx") or rebuilt from source files ("rebuilt"),
 // with the time it took, the snapshot's on-disk size (0 when rebuilt
@@ -275,10 +248,8 @@ type MetricsSnapshot struct {
 	} `json:"solverPool"`
 	// Versions reports MVCC churn: generations published across all loaded
 	// graphs (gauge, summed from the registry), currently pinned readers
-	// (gauge), committed mutation batches and their op totals, deletions,
-	// and how the search index kept pace — incremental refreshes with the
-	// signature rows they reused versus full rebuilds, plus searches the
-	// client chose to answer from a stale index during a rebuild.
+	// (gauge), committed mutation batches and their op totals, and
+	// deletions.
 	Versions struct {
 		GenerationsPublished int64 `json:"generationsPublished"`
 		PinnedReaders        int64 `json:"pinnedReaders"`
@@ -290,10 +261,6 @@ type MetricsSnapshot struct {
 		Relabeled            int64 `json:"relabeled"`
 		FullInvalidations    int64 `json:"fullInvalidations"`
 		GraphsDeleted        int64 `json:"graphsDeleted"`
-		IndexIncrements      int64 `json:"indexIncrements"`
-		IndexFullBuilds      int64 `json:"indexFullBuilds"`
-		IndexRowsReused      int64 `json:"indexRowsReused"`
-		StaleSearches        int64 `json:"staleSearches"`
 	} `json:"versions"`
 }
 
@@ -348,10 +315,6 @@ func (m *Metrics) snapshot(reg *Registry, jobs *JobManager) MetricsSnapshot {
 	snap.Versions.Relabeled = m.relabeled
 	snap.Versions.FullInvalidations = m.fullDeltas
 	snap.Versions.GraphsDeleted = m.graphsDeleted
-	snap.Versions.IndexIncrements = m.indexIncrements
-	snap.Versions.IndexFullBuilds = m.indexFullBuilds
-	snap.Versions.IndexRowsReused = m.indexRowsReused
-	snap.Versions.StaleSearches = m.staleServed
 	m.mu.Unlock()
 
 	if reg != nil {

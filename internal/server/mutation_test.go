@@ -1,13 +1,8 @@
 package server_test
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"hged"
 	"hged/internal/server"
@@ -191,8 +186,8 @@ func TestDeleteGraph(t *testing.T) {
 	if code := env.do("GET", "/v1/graphs", nil, &list); code != 200 || len(list.Graphs) != 1 {
 		t.Fatalf("list after delete = %+v (status %d)", list.Graphs, code)
 	}
-	// The search corpus drops the deleted graph on its next fingerprint
-	// check; the freed name is immediately reusable.
+	// The delete dropped the graph's search-index row; the freed name is
+	// immediately reusable.
 	if code := env.do("POST", "/v1/search", search, &res); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
@@ -206,11 +201,11 @@ func TestDeleteGraph(t *testing.T) {
 	}
 }
 
-// TestReuploadedNameInvalidatesIndex pins the registration-epoch fix:
-// deleting a graph and re-registering its name with different content —
-// with no search in between — must not be served from the index built over
-// the deleted graph, even though the re-registered entry restarts at
-// generation 1 and the (name, generation) corpus set is identical.
+// TestReuploadedNameInvalidatesIndex: deleting a graph and re-registering
+// its name with different content — with no search in between — must not
+// be served from the deleted graph's index row, even though the
+// re-registered entry restarts at generation 1 and the corpus holds the
+// same (name, generation) pairs as before.
 func TestReuploadedNameInvalidatesIndex(t *testing.T) {
 	env := newTestEnv(t, server.Config{})
 	var res struct {
@@ -225,17 +220,16 @@ func TestReuploadedNameInvalidatesIndex(t *testing.T) {
 		t.Fatalf("warm search = %+v (status %d)", res.Matches, code)
 	}
 	// Replace fig1 with different content under the same name; the corpus
-	// returns to {fig1: gen 1, planted: gen 1}, so without epochs the stale
-	// fingerprint would collide and the cached index would keep serving the
-	// deleted graph's content.
+	// returns to {fig1: gen 1, planted: gen 1}. The delete removes fig1's
+	// row and the upload inserts a row for the new content.
 	if code := env.do("DELETE", "/v1/graphs/fig1", nil, nil); code != 200 {
 		t.Fatalf("delete status %d", code)
 	}
 	if code := env.do("POST", "/v1/graphs", map[string]any{"name": "fig1", "data": twoCompHG(t)}, nil); code != 201 {
 		t.Fatalf("re-upload status %d", code)
 	}
-	// An exact (τ=0) search for the NEW content must match it; the stale
-	// index would verify against the deleted graph and return no match.
+	// An exact (τ=0) search for the NEW content must match it; a stale row
+	// would verify against the deleted graph and return no match.
 	fresh := map[string]any{"query": map[string]any{"data": twoCompHG(t)}, "tau": 0}
 	if code := env.do("POST", "/v1/search", fresh, &res); code != 200 {
 		t.Fatalf("search status %d", code)
@@ -245,9 +239,9 @@ func TestReuploadedNameInvalidatesIndex(t *testing.T) {
 	}
 }
 
-// TestGraphNameRejectsControlBytes keeps fingerprint separators unforgeable:
-// names carrying control bytes (including the \x00 / \x1e field and record
-// separators) are rejected at registration.
+// TestGraphNameRejectsControlBytes: names carrying whitespace or control
+// bytes, which would make them ambiguous in URLs and request logs, are
+// rejected at registration.
 func TestGraphNameRejectsControlBytes(t *testing.T) {
 	env := newTestEnv(t, server.Config{})
 	for _, name := range []string{"a\x00b", "a\x1eb", "a\tb", "a b", "\x7f"} {
@@ -258,11 +252,11 @@ func TestGraphNameRejectsControlBytes(t *testing.T) {
 	}
 }
 
-// TestSearchServesStaleDuringRebuild pins the acceptance criterion: while
-// one flight rebuilds the index after a mutation, an allowStale search is
-// answered from the previous generation's index without blocking, and the
-// default search waits for — and sees — the fresh corpus.
-func TestSearchServesStaleDuringRebuild(t *testing.T) {
+// TestSearchSeesCommittedMutation pins read-your-writes: the mutation
+// replaces the graph's search-index row before it replies, so the very
+// next search answers over the new generation, without waiting on a
+// rebuild.
+func TestSearchSeesCommittedMutation(t *testing.T) {
 	env := newTestEnv(t, server.Config{})
 	// The query is an inline copy of the ORIGINAL fig1, so it matches the
 	// pre-mutation corpus entry at distance 0 and the mutated one at 3.
@@ -270,14 +264,14 @@ func TestSearchServesStaleDuringRebuild(t *testing.T) {
 	if err := hged.WriteHG(&fig1HG, hged.Fig1()); err != nil {
 		t.Fatal(err)
 	}
-	search := func(allowStale bool) (int, []string) {
+	search := func() (int, []string) {
 		var res struct {
 			Matches []struct {
 				Name string `json:"name"`
 			} `json:"matches"`
 		}
 		code := env.do("POST", "/v1/search", map[string]any{
-			"query": map[string]any{"data": fig1HG.String()}, "tau": 2, "allowStale": allowStale,
+			"query": map[string]any{"data": fig1HG.String()}, "tau": 2,
 		}, &res)
 		names := make([]string, len(res.Matches))
 		for i, m := range res.Matches {
@@ -285,23 +279,11 @@ func TestSearchServesStaleDuringRebuild(t *testing.T) {
 		}
 		return code, names
 	}
-	if code, names := search(false); code != 200 || len(names) != 1 || names[0] != "fig1" {
+	if code, names := search(); code != 200 || len(names) != 1 || names[0] != "fig1" {
 		t.Fatalf("warm-up search = %v (status %d)", names, code)
 	}
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	env.srv.SetSearchBuildHook(func() {
-		select {
-		case <-entered:
-		default:
-			close(entered)
-		}
-		<-release
-	})
-
-	// Duplicate fig1's hyperedges: after this mutation fig1 is within τ=2
-	// of nothing, so a fresh index returns no τ=2 match besides itself...
+	// Duplicate fig1's hyperedges: after this mutation the original fig1
+	// is within τ=2 of nothing in the corpus.
 	if code := env.do("POST", "/v1/graphs/fig1/edges", map[string]any{
 		"addEdges": []map[string]any{
 			{"label": 1, "nodes": []int{0, 1, 2}},
@@ -311,36 +293,8 @@ func TestSearchServesStaleDuringRebuild(t *testing.T) {
 	}, nil); code != 200 {
 		t.Fatalf("mutate status %d", code)
 	}
-
-	// ...but the stale index still answers — instantly, from the previous
-	// generation — while the rebuild flight is parked inside the hook.
-	done := make(chan struct{})
-	var staleCode int
-	var staleNames []string
-	go func() {
-		defer close(done)
-		staleCode, staleNames = search(true)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("allowStale search blocked on the rebuild")
-	}
-	<-entered // the flight is in progress (parked in the hook)
-	if staleCode != 200 || len(staleNames) != 1 || staleNames[0] != "fig1" {
-		t.Fatalf("stale search = %v (status %d)", staleNames, staleCode)
-	}
-	// A second stale search during the same flight must not start another.
-	if code, names := search(true); code != 200 || len(names) != 1 {
-		t.Fatalf("second stale search = %v (status %d)", names, code)
-	}
-	close(release)
-
-	// The default (fresh-wait) search blocks for the flight and then serves
-	// the mutated corpus, where the original fig1 no longer matches at τ=2
-	// — the observable difference between the stale and fresh indexes.
-	if code, names := search(false); code != 200 || len(names) != 0 {
-		t.Fatalf("fresh search = %v (status %d), want no τ=2 match", names, code)
+	if code, names := search(); code != 200 || len(names) != 0 {
+		t.Fatalf("search after mutation = %v (status %d), want no τ=2 match", names, code)
 	}
 
 	var metrics struct {
@@ -349,73 +303,16 @@ func TestSearchServesStaleDuringRebuild(t *testing.T) {
 			PinnedReaders        int64 `json:"pinnedReaders"`
 			MutationBatches      int64 `json:"mutationBatches"`
 			EdgesAdded           int64 `json:"edgesAdded"`
-			IndexIncrements      int64 `json:"indexIncrements"`
-			IndexRowsReused      int64 `json:"indexRowsReused"`
-			StaleSearches        int64 `json:"staleSearches"`
 		} `json:"versions"`
 	}
 	if code := env.do("GET", "/metrics", nil, &metrics); code != 200 {
 		t.Fatalf("metrics status %d", code)
 	}
 	v := metrics.Versions
-	if v.GenerationsPublished < 3 || v.MutationBatches != 1 || v.EdgesAdded != 3 {
+	if v.GenerationsPublished != 3 || v.MutationBatches != 1 || v.EdgesAdded != 3 {
 		t.Fatalf("versions churn = %+v", v)
-	}
-	if v.StaleSearches < 2 {
-		t.Fatalf("staleSearches = %d, want ≥ 2", v.StaleSearches)
-	}
-	if v.IndexIncrements < 1 || v.IndexRowsReused < 1 {
-		t.Fatalf("incremental refresh not recorded: %+v", v)
 	}
 	if v.PinnedReaders != 0 {
 		t.Fatalf("pinnedReaders = %d after idle, want 0", v.PinnedReaders)
-	}
-}
-
-// A cancelled InitSearchIndex stops waiting for the rebuild flight and
-// returns ctx.Err(); the flight itself is detached from the caller, runs to
-// completion and installs the index, so the next call waits for that same
-// flight instead of starting a second build.
-func TestInitSearchIndexCancelled(t *testing.T) {
-	s := server.New(server.Config{})
-	for i := 0; i < 6; i++ {
-		g := hged.GenerateUniform(5, 3, 3, 3, 2, int64(300+i))
-		if _, err := s.Registry().Add(fmt.Sprintf("g%d", i), g, "builtin"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var builds atomic.Int32
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.SetSearchBuildHook(func() {
-		if builds.Add(1) == 1 {
-			close(entered)
-		}
-		<-release
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- s.InitSearchIndex(ctx) }()
-	<-entered // the flight is parked in the hook
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled InitSearchIndex kept waiting on the parked flight")
-	}
-
-	close(release)
-	if err := s.InitSearchIndex(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("index built %d times, want 1 (the cancelled wait's flight)", n)
-	}
-	if err := s.Close(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode"
 
@@ -13,31 +15,24 @@ import (
 // GraphEntry is one named hypergraph in the registry, wrapped in an MVCC
 // versioned lifecycle: readers pin immutable frozen generations while
 // mutation batches publish new ones, and the entry's derived state — per
-// generation stats and the lazily-built σ predictors behind the sigma
-// endpoint — is invalidated incrementally on every commit.
+// generation stats, the lazily-built σ predictors behind the sigma endpoint
+// and its row of the registry's search index — is updated incrementally on
+// every commit.
 type GraphEntry struct {
 	Name     string
 	Source   string // file path, "upload", or "builtin"
 	LoadedAt time.Time
 
-	// epoch is assigned by Registry.Add and unique across the registry's
-	// lifetime, so a name re-registered after Remove never aliases the
-	// deleted entry in (name, generation)-keyed derived state.
-	epoch int64
-
-	vg *hged.VersionedGraph
+	reg *Registry // publishes the entry's search-index row on every commit
+	vg  *hged.VersionedGraph
 
 	mu       sync.Mutex
 	stats    hged.Stats
 	statsGen int64
-	sigma    map[string]*sigmaEntry
-}
-
-// sigmaEntry ties a σ predictor to the graph generation it serves; Mutate
-// rebases every entry on commit so a predictor is never a generation behind.
-type sigmaEntry struct {
-	p   *hged.Predictor
-	gen int64
+	// sigma holds one σ predictor per solver setting. Mutate is the only
+	// publisher on vg and commits and rebases under mu, so an mu holder
+	// always finds every predictor serving vg.Current().
+	sigma map[string]*hged.Predictor
 }
 
 // Graph returns the current generation's immutable graph. Handlers that
@@ -50,11 +45,6 @@ func (e *GraphEntry) Pin() *hged.GraphGeneration { return e.vg.Pin() }
 
 // Generation returns the current generation's sequence number.
 func (e *GraphEntry) Generation() int64 { return e.vg.Current().Seq() }
-
-// Epoch returns the entry's registration epoch: unique per Add for the life
-// of the registry. Generation numbers restart at 1 for every registration,
-// so caches keyed on graph identity must key on (epoch, generation).
-func (e *GraphEntry) Epoch() int64 { return e.epoch }
 
 // Versions exposes the MVCC counters for /metrics.
 func (e *GraphEntry) Versions() *hged.VersionedGraph { return e.vg }
@@ -75,18 +65,21 @@ func (e *GraphEntry) Stats() hged.Stats {
 // Mutate runs apply inside a copy-on-write batch against the current
 // generation and publishes the result. On success it rebases the entry's σ
 // predictors onto the new generation (dropping only entries the delta
-// invalidates), refreshes the memoized stats, and returns the new
-// generation number with its stats and the delta — the returned stats
-// describe exactly the returned generation, which a later e.Stats() call
-// cannot guarantee under concurrent mutation. On error the batch is
-// discarded and the published generation is unchanged.
+// invalidates), refreshes the memoized stats, replaces the entry's row of
+// the registry's search index, and returns the new generation number with
+// its stats and the delta — the returned stats describe exactly the
+// returned generation, which a later e.Stats() call cannot guarantee under
+// concurrent mutation. On error the batch is discarded and the published
+// generation is unchanged.
 //
-// Lock order: Begin waits on the MVCC writer lock and can stall behind a
-// prior batch, so it must happen before e.mu is taken — holding e.mu
-// through that wait would stall every reader of the entry's derived state
-// (lockhold). Taking e.mu just before Commit keeps publish and rebase
-// atomic with respect to readers, and the order writeMu→e.mu is
-// cycle-free: no e.mu holder ever begins a batch.
+// Lock order: writeMu → e.mu → r.mu. Begin waits on the MVCC writer lock
+// (writeMu) and can stall behind a prior batch, so it must happen before
+// e.mu is taken — holding e.mu through that wait would stall every reader
+// of the entry's derived state (lockhold). Taking e.mu just before Commit
+// keeps publish, rebase and the index update atomic with respect to other
+// holders of e.mu, so the entry's index rows land in generation order.
+// The order is cycle-free: no e.mu holder begins a batch, and no r.mu
+// holder takes an entry's lock.
 func (e *GraphEntry) Mutate(apply func(b *hged.GraphBatch) error) (int64, hged.Stats, hged.GraphDelta, error) {
 	b := e.vg.Begin()
 	if err := apply(b); err != nil {
@@ -99,14 +92,14 @@ func (e *GraphEntry) Mutate(apply func(b *hged.GraphBatch) error) (int64, hged.S
 	e.stats = hged.Summarize(gen.Graph())
 	e.statsGen = gen.Seq()
 	//hgedvet:ignore detrange per-key in-place rebase: entries are independent, the result is order-invariant
-	for _, se := range e.sigma {
+	for key, p := range e.sigma {
 		if delta.Full {
-			se.p = se.p.Rebase(gen.Graph(), nil)
+			e.sigma[key] = p.Rebase(gen.Graph(), nil)
 		} else {
-			se.p = se.p.Rebase(gen.Graph(), delta.Invalidates)
+			e.sigma[key] = p.Rebase(gen.Graph(), delta.Invalidates)
 		}
-		se.gen = gen.Seq()
 	}
+	e.reg.replace(e, hged.BuildSearchIndex([]*hged.Hypergraph{gen.Graph()}))
 	return gen.Seq(), e.stats, delta, nil
 }
 
@@ -120,25 +113,16 @@ func (e *GraphEntry) sigmaPredictor(alg hged.PredictAlgorithm, maxExp int64) (*h
 	key := fmt.Sprintf("%d|%d", alg, maxExp)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	gen := e.vg.Current()
-	if se, ok := e.sigma[key]; ok {
-		if se.gen != gen.Seq() {
-			// Mutate rebases under e.mu, so a mismatch can only mean the
-			// predictor predates this entry's wiring; rebuild cold.
-			p, err := hged.NewPredictor(gen.Graph(), hged.PredictOptions{Algorithm: alg, MaxExpansions: maxExp})
-			if err != nil {
-				return nil, nil, err
-			}
-			se.p, se.gen = p, gen.Seq()
-		}
-		return se.p, gen.Graph(), nil
+	g := e.vg.Current().Graph()
+	if p, ok := e.sigma[key]; ok {
+		return p, g, nil
 	}
-	p, err := hged.NewPredictor(gen.Graph(), hged.PredictOptions{Algorithm: alg, MaxExpansions: maxExp})
+	p, err := hged.NewPredictor(g, hged.PredictOptions{Algorithm: alg, MaxExpansions: maxExp})
 	if err != nil {
 		return nil, nil, err
 	}
-	e.sigma[key] = &sigmaEntry{p: p, gen: gen.Seq()}
-	return p, gen.Graph(), nil
+	e.sigma[key] = p
+	return p, g, nil
 }
 
 // cacheStats sums the σ-cache counters across the entry's predictors.
@@ -147,8 +131,8 @@ func (e *GraphEntry) cacheStats() hged.PredictStats {
 	defer e.mu.Unlock()
 	var total hged.PredictStats
 	//hgedvet:ignore detrange commutative sum over per-predictor counters
-	for _, se := range e.sigma {
-		st := se.p.Stats()
+	for _, p := range e.sigma {
+		st := p.Stats()
 		total.PairsComputed += st.PairsComputed
 		total.PairsCached += st.PairsCached
 		total.PairsDeduped += st.PairsDeduped
@@ -157,26 +141,75 @@ func (e *GraphEntry) cacheStats() hged.PredictStats {
 	return total
 }
 
-// Registry holds the server's named hypergraphs. Entries are added and
-// removed under one lock; each entry's graph versions independently through
-// its MVCC wrapper, and per-entry generation numbers — not the registry
-// version — are the staleness signal for derived structures (the search
-// index fingerprints the (name, generation) set).
+// Registry holds the server's named hypergraphs and the search index over
+// them. Entries are added and removed under one lock; each entry's graph
+// versions independently through its MVCC wrapper. Every write — Add,
+// Remove and a committed GraphEntry.Mutate — publishes a new corpus
+// version under r.mu, so a search that pins the published version sees
+// every write that returned before it.
 type Registry struct {
-	mu      sync.RWMutex
-	graphs  map[string]*GraphEntry
-	version int64
-	epoch   int64 // registration counter feeding GraphEntry.epoch
+	mu     sync.RWMutex
+	graphs map[string]*GraphEntry
+	corpus atomic.Pointer[corpus]
+	// spare is the version the last write replaced. The next write splices
+	// into its memory unless a search still pins it: that memory is
+	// resident, where a fresh table costs a page fault per 4 KiB touched,
+	// which added about 10 µs to every mutation batch.
+	spare *corpus
+}
+
+// corpus is one published version of the search corpus: the registered
+// names in ascending order, and the index whose row i holds the current
+// generation of names[i]. A published version is never written; a write
+// publishes a spliced copy.
+type corpus struct {
+	names []string
+	ix    *hged.SearchIndex
+	pins  atomic.Int64 // searches reading this version
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{graphs: make(map[string]*GraphEntry)}
+	r := &Registry{graphs: make(map[string]*GraphEntry)}
+	r.corpus.Store(&corpus{ix: hged.BuildSearchIndex(nil)})
+	return r
+}
+
+// pin returns the published corpus version, pinned so that no write reuses
+// its memory until unpin. It never waits: a version retired between the
+// load and the pin is let go and the load retried.
+func (r *Registry) pin() *corpus {
+	for {
+		c := r.corpus.Load()
+		c.pins.Add(1)
+		if r.corpus.Load() == c {
+			return c
+		}
+		c.pins.Add(-1)
+	}
+}
+
+func (c *corpus) unpin() { c.pins.Add(-1) }
+
+// publish makes next the published version and keeps the version it
+// replaces as the spare. r.mu must be held.
+func (r *Registry) publish(next *corpus) { r.spare = r.corpus.Swap(next) }
+
+// splice returns the published index with its del rows at position at
+// replaced by the rows of ins (nil for none), written into the spare's
+// memory when no search pins the spare. r.mu must be held.
+func (r *Registry) splice(at, del int, ins *hged.SearchIndex) *hged.SearchIndex {
+	var spare *hged.SearchIndex
+	if r.spare != nil && r.spare.pins.Load() == 0 {
+		spare = r.spare.ix
+	}
+	return r.corpus.Load().ix.SpliceInto(spare, at, del, ins)
 }
 
 // validName rejects names that would not round-trip through URL paths, and
-// any whitespace or control character — control bytes could otherwise forge
-// the field/record separators in corpus fingerprints.
+// any whitespace or control character: names are echoed in URL paths,
+// request logs and error messages, where such characters would make them
+// ambiguous or let a client forge log lines.
 func validName(name string) error {
 	if name == "" {
 		return fmt.Errorf("graph name must not be empty")
@@ -195,9 +228,23 @@ func validName(name string) error {
 	return nil
 }
 
-// Add registers g under name as generation 1 of a new versioned entry. The
-// caller hands the graph over; it must only be mutated through the entry's
-// Mutate batches afterwards.
+// newEntry wraps g as generation 1 of a versioned entry of r.
+func (r *Registry) newEntry(name string, g *hged.Hypergraph, source string) *GraphEntry {
+	return &GraphEntry{
+		Name:     name,
+		Source:   source,
+		LoadedAt: time.Now(),
+		reg:      r,
+		vg:       hged.NewVersionedGraph(g),
+		stats:    hged.Summarize(g),
+		statsGen: 1,
+		sigma:    make(map[string]*hged.Predictor),
+	}
+}
+
+// Add registers g under name as generation 1 of a new versioned entry and
+// publishes its search-index row. The caller hands the graph over; it must
+// only be mutated through the entry's Mutate batches afterwards.
 func (r *Registry) Add(name string, g *hged.Hypergraph, source string) (*GraphEntry, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -205,25 +252,54 @@ func (r *Registry) Add(name string, g *hged.Hypergraph, source string) (*GraphEn
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph %q: %w", name, err)
 	}
-	e := &GraphEntry{
-		Name:     name,
-		Source:   source,
-		LoadedAt: time.Now(),
-		vg:       hged.NewVersionedGraph(g),
-		stats:    hged.Summarize(g),
-		statsGen: 1,
-		sigma:    make(map[string]*sigmaEntry),
-	}
+	e := r.newEntry(name, g, source)
+	row := hged.BuildSearchIndex([]*hged.Hypergraph{g}) // the signature, outside the lock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.graphs[name]; dup {
 		return nil, fmt.Errorf("graph %q already loaded", name)
 	}
-	r.epoch++
-	e.epoch = r.epoch
 	r.graphs[name] = e
-	r.version++
+	names := r.corpus.Load().names
+	at, _ := slices.BinarySearch(names, name)
+	r.publish(&corpus{names: slices.Insert(slices.Clone(names), at, name), ix: r.splice(at, 0, row)})
 	return e, nil
+}
+
+// restore installs a whole corpus into an empty registry in one write:
+// one entry per name over ix.Graph(i), with ix published as the search
+// index as it is — no signature is computed. names must be valid, unique
+// and ascending, with ix's rows in the same order.
+func (r *Registry) restore(names []string, ix *hged.SearchIndex, source string) error {
+	entries := make([]*GraphEntry, len(names))
+	for i, name := range names {
+		entries[i] = r.newEntry(name, ix.Graph(i), source)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.graphs) != 0 {
+		return fmt.Errorf("registry already holds %d graphs", len(r.graphs))
+	}
+	for _, e := range entries {
+		r.graphs[e.Name] = e
+	}
+	r.publish(&corpus{names: names, ix: ix})
+	return nil
+}
+
+// replace publishes row, a one-graph index, as e's search-index row. It
+// does nothing when e is no longer the entry registered under its name
+// (removed, or replaced by a re-upload), so a late commit never lands in
+// the index.
+func (r *Registry) replace(e *GraphEntry, row *hged.SearchIndex) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.graphs[e.Name] != e {
+		return
+	}
+	names := r.corpus.Load().names
+	at, _ := slices.BinarySearch(names, e.Name)
+	r.publish(&corpus{names: names, ix: r.splice(at, 1, row)})
 }
 
 // LoadFile reads a graph file (.hg or .json) and registers it under name.
@@ -243,9 +319,9 @@ func (r *Registry) Get(name string) (*GraphEntry, bool) {
 	return e, ok
 }
 
-// Remove deletes the entry for name, reporting whether it existed. Pinned
-// readers of any of its generations finish undisturbed; the name is
-// immediately free for re-registration.
+// Remove deletes the entry for name and its search-index row, reporting
+// whether it existed. Pinned readers of any of its generations finish
+// undisturbed; the name is immediately free for re-registration.
 func (r *Registry) Remove(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,7 +329,9 @@ func (r *Registry) Remove(name string) bool {
 		return false
 	}
 	delete(r.graphs, name)
-	r.version++
+	names := r.corpus.Load().names
+	at, _ := slices.BinarySearch(names, name)
+	r.publish(&corpus{names: slices.Delete(slices.Clone(names), at, at+1), ix: r.splice(at, 1, nil)})
 	return true
 }
 
@@ -274,14 +352,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.graphs)
-}
-
-// Version returns the add/remove counter. Per-entry generations, not this
-// counter, signal graph-content staleness.
-func (r *Registry) Version() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
 }
 
 // cacheTotals sums σ-cache counters across every entry's predictors.

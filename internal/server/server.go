@@ -3,8 +3,8 @@
 // hypergraphs. Graphs mutate through copy-on-write batches (POST
 // /v1/graphs/{name}/edges) that publish new generations atomically while
 // readers keep pinned snapshots; derived state — σ predictors, memoized
-// stats, the similarity-search index — is invalidated incrementally per
-// generation. Synchronous queries (stats, node distance with edit path
+// stats — is invalidated incrementally per generation, and the
+// similarity-search index row of the graph is replaced in the same write. Synchronous queries (stats, node distance with edit path
 // explanations, memoized σ, similarity search) run under a shared
 // concurrency-limiting semaphore with per-request timeouts; HEP prediction
 // runs are asynchronous jobs on a bounded worker pool with per-job
@@ -18,7 +18,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -98,7 +97,6 @@ type Server struct {
 	jobs    *JobManager
 	metrics *Metrics
 	sem     chan struct{}
-	search  searchIndex
 	handler http.Handler
 }
 
@@ -120,55 +118,22 @@ func New(cfg Config) *Server {
 // Registry exposes the graph registry (for startup loading and tests).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// InitSearchIndex eagerly builds the similarity-search index so the first
-// /v1/search query doesn't pay for the build. Call it after startup
-// loading; later uploads invalidate the index and it is rebuilt lazily on
-// the next search. ctx bounds the wait for the build; a cancelled wait
-// returns ctx.Err() while the build itself runs to completion.
-func (s *Server) InitSearchIndex(ctx context.Context) error {
-	_, _, err := s.corpusIndex(ctx, false)
-	return err
-}
+// InitSearchIndex does nothing and returns nil; it is kept for callers
+// written when the search index was built lazily. The registry now keeps
+// the index current inside every write, so there is nothing to build.
+func (s *Server) InitSearchIndex(ctx context.Context) error { return nil }
 
 // Jobs exposes the job manager (for tests and draining).
 func (s *Server) Jobs() *JobManager { return s.jobs }
-
-// SetSearchBuildHook installs fn to run inside every search-index rebuild
-// flight, after the new index is built but before it is installed — a test
-// seam for exercising searches that race a rebuild. Pass nil to clear.
-func (s *Server) SetSearchBuildHook(fn func()) {
-	s.search.mu.Lock()
-	s.search.buildHook = fn
-	s.search.mu.Unlock()
-}
 
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close gracefully shuts the server's job pool down: it stops accepting
 // jobs, drains queued and running jobs until ctx expires, then cancels the
-// stragglers. It also waits (until ctx expires) for any in-flight search
-// index rebuild — those outlive the request that started them so a
-// cancelled client cannot waste the build, which makes this WaitGroup the
-// only handle shutdown has on them. The HTTP listener itself is the
-// caller's to shut down (http.Server.Shutdown), typically before calling
-// Close.
-func (s *Server) Close(ctx context.Context) error {
-	err := s.jobs.Close(ctx)
-	flightsDone := make(chan struct{})
-	go func() {
-		s.search.flights.Wait()
-		close(flightsDone)
-	}()
-	select {
-	case <-flightsDone:
-	case <-ctx.Done():
-		if err == nil {
-			err = fmt.Errorf("search index rebuild still running: %w", ctx.Err())
-		}
-	}
-	return err
-}
+// stragglers. The HTTP listener itself is the caller's to shut down
+// (http.Server.Shutdown), typically before calling Close.
+func (s *Server) Close(ctx context.Context) error { return s.jobs.Close(ctx) }
 
 // routes builds the ServeMux. Go 1.22 method+wildcard patterns route; each
 // route is wrapped with logging + metrics, and sync routes additionally

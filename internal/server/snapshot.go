@@ -22,9 +22,6 @@ import (
 // any error nothing is installed and the caller should fall back to loading
 // source files and SaveCorpusSnapshot.
 func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []string) error {
-	if s.reg.Len() != 0 {
-		return fmt.Errorf("corpus snapshot: registry already holds %d graphs", s.reg.Len())
-	}
 	start := time.Now()
 	names, ix, nbytes, err := hged.ReadCorpusSnapshotFile(path)
 	if err != nil {
@@ -54,41 +51,27 @@ func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []str
 			return fmt.Errorf("corpus snapshot: %w", err)
 		}
 	}
-	// All checks passed; installation cannot fail halfway (names are valid
-	// and unique, graphs already validated by the snapshot reader).
-	for i, name := range names {
-		if _, err := s.reg.Add(name, ix.Graph(i), "snapshot:"+path); err != nil {
-			return fmt.Errorf("corpus snapshot: install %q: %w", name, err)
-		}
+	// One registry write installs every entry and adopts the snapshot's
+	// index as the published one: no signature is computed, no row spliced.
+	if err := s.reg.restore(names, ix, "snapshot:"+path); err != nil {
+		return fmt.Errorf("corpus snapshot: %w", err)
 	}
-	// Every restored entry starts at generation 1; record the fingerprint
-	// so the first search adopts the snapshot index instead of rebuilding.
-	fp, _, epochs, gens, _ := corpusState(s.reg.List())
-	s.search.mu.Lock()
-	s.search.ix = ix
-	s.search.names = names
-	s.search.epochs = epochs
-	s.search.gens = gens
-	s.search.fp = fp
-	s.search.mu.Unlock()
 	s.metrics.snapshotLoaded("hgx", time.Since(start), nbytes, len(names))
 	s.cfg.Logger.Printf("corpus+index restored from %s (%d graphs, %d bytes)",
 		path, len(names), nbytes)
 	return nil
 }
 
-// SaveCorpusSnapshot persists the current corpus and search index as a
-// combined snapshot at path, building the index first if
-// the registry changed since the last build. It also records the corpus as
+// SaveCorpusSnapshot persists the published corpus version — graphs and
+// search index — as a combined snapshot at path. It also records the corpus as
 // "rebuilt" in the /metrics snapshot section — by construction it is only
 // reached when LoadCorpusSnapshot did not serve the cold start.
 func (s *Server) SaveCorpusSnapshot(ctx context.Context, path string) error {
 	start := time.Now()
-	ix, names, err := s.corpusIndex(ctx, false)
-	if err != nil {
-		return err
-	}
-	if err := hged.WriteCorpusSnapshotFile(path, names, ix); err != nil {
+	c := s.reg.pin()
+	defer c.unpin()
+	names := c.names
+	if err := hged.WriteCorpusSnapshotFile(path, names, c.ix); err != nil {
 		return err
 	}
 	var size int64

@@ -77,24 +77,23 @@ var searchQueries = []string{
 // TestCorpusSnapshotColdStart is the end-to-end differential check behind
 // the .hgx format: a server cold-started from the snapshot must answer
 // every search byte-identically (matches, distances, FilterStats) to the
-// server that parsed the corpus from text and built the index — and the
-// restore itself must perform zero CSR freeze rebuilds.
+// server that parsed the corpus from text and grew its index one row per
+// registration — and the restore, which installs the snapshot's index as
+// it is, must perform zero CSR freeze rebuilds.
 func TestCorpusSnapshotColdStart(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "corpus.hgx")
 	names, paths := corpusFiles(t, dir, 10)
 	ctx := context.Background()
 
-	// First server: text-parsed corpus, built index, persisted snapshot —
-	// the flow cmd/hgedd runs when the snapshot is missing.
+	// First server: text-parsed corpus, index kept by the registry,
+	// persisted snapshot — the flow cmd/hgedd runs when the snapshot is
+	// missing.
 	first := server.New(server.Config{CorpusSnapshot: snap})
 	for i, name := range names {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := first.InitSearchIndex(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if err := first.SaveCorpusSnapshot(ctx, snap); err != nil {
 		t.Fatal(err)
@@ -167,9 +166,6 @@ func TestLoadCorpusSnapshotRejects(t *testing.T) {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := first.InitSearchIndex(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if err := first.SaveCorpusSnapshot(ctx, snap); err != nil {
 		t.Fatal(err)
