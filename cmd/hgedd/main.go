@@ -109,7 +109,6 @@ func run() error {
 		QueueDepth:     *queue,
 		JobRetention:   *jobRetention,
 		MaxUploadBytes: *maxUpload,
-		CorpusSnapshot: *corpusSnapshot,
 		Logger:         logger,
 	})
 

@@ -32,27 +32,43 @@ func sameTable(a, b *hged.SearchIndex) bool {
 	return true
 }
 
-// checkCorpus fails unless the published corpus version lists exactly the
-// registered names in ascending order, each row holds its entry's current
-// generation, and the index is byte-identical to Build over those graphs.
-func checkCorpus(t *testing.T, step string, r *Registry) {
+// sortedNames returns the model's names in ascending order.
+func sortedNames(model map[string]*GraphEntry) []string {
+	names := make([]string, 0, len(model))
+	for name := range model {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// checkCorpus fails unless the registry agrees with model, the caller's
+// own name → entry record of what is registered: Get returns the model's
+// entry for every probed name the model holds and nothing for every other
+// probed name, the published version lists the model's entries in name
+// order, each row holds its entry's current generation, and the index is
+// byte-identical to Build over those graphs.
+func checkCorpus(t *testing.T, step string, r *Registry, model map[string]*GraphEntry, probe []string) {
 	t.Helper()
+	for _, name := range probe {
+		if e, ok := r.Get(name); e != model[name] || ok != (model[name] != nil) {
+			t.Fatalf("%s: Get(%q) = %p, %v; model holds %p", step, name, e, ok, model[name])
+		}
+	}
+	names := sortedNames(model)
 	c := r.corpus.Load()
-	entries := r.List()
-	graphs := make([]*hged.Hypergraph, len(entries))
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i], graphs[i] = e.Name, e.Graph()
+	if len(c.entries) != len(names) || c.ix.Len() != len(names) {
+		t.Fatalf("%s: published %d entries and %d rows, model holds %d graphs", step, len(c.entries), c.ix.Len(), len(names))
 	}
-	if !slices.Equal(c.names, names) {
-		t.Fatalf("%s: published names %v, registry holds %v", step, c.names, names)
-	}
-	if c.ix.Len() != len(graphs) {
-		t.Fatalf("%s: index has %d rows for %d graphs", step, c.ix.Len(), len(graphs))
-	}
-	for i, g := range graphs {
-		if c.ix.Graph(i) != g {
-			t.Fatalf("%s: row %d (%s) is not the entry's current generation", step, i, names[i])
+	graphs := make([]*hged.Hypergraph, len(names))
+	for i, name := range names {
+		e := model[name]
+		graphs[i] = e.Graph()
+		if c.entries[i] != e {
+			t.Fatalf("%s: published entry %d is %q, model has %q", step, i, c.entries[i].Name, name)
+		}
+		if c.ix.Graph(i) != graphs[i] {
+			t.Fatalf("%s: row %d (%s) is not the entry's current generation", step, i, name)
 		}
 	}
 	full := hged.BuildSearchIndex(graphs)
@@ -90,39 +106,51 @@ func mutateOnce(e *GraphEntry, rng *rand.Rand) error {
 // TestRegistryIndexMatchesBuild is the registry-level property: over random
 // sequences of Add, Mutate, Remove and same-name re-uploads (different
 // content, generation restarting at 1) — and commits on entries that were
-// removed or replaced in the meantime — the published index equals
-// search.Build over the sorted current corpus after every operation.
+// removed or replaced in the meantime — Get and the published version
+// agree with the test's own name → entry model, and the published index
+// equals search.Build over the model's current graphs, after every
+// operation.
 func TestRegistryIndexMatchesBuild(t *testing.T) {
+	probe := make([]string, 40)
+	for i := range probe {
+		probe[i] = fmt.Sprintf("g%02d", i)
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRegistry()
+		model := make(map[string]*GraphEntry)
 		var gone []*GraphEntry // removed or replaced entries
-		checkCorpus(t, "empty", r)
+		checkCorpus(t, "empty", r, model, probe)
 		for op := 0; op < 150; op++ {
-			entries := r.List()
+			live := sortedNames(model)
 			var step string
 			switch k := rng.Intn(10); {
-			case k < 3 || len(entries) == 0:
-				name := fmt.Sprintf("g%02d", rng.Intn(40))
+			case k < 3 || len(live) == 0:
+				name := probe[rng.Intn(len(probe))]
 				step = "add " + name
-				if _, err := r.Add(name, randomGraph(rng), "test"); err != nil && !strings.Contains(err.Error(), "already loaded") {
-					t.Fatal(err)
+				e, err := r.Add(name, randomGraph(rng), "test")
+				switch {
+				case err == nil && model[name] == nil:
+					model[name] = e
+				case err == nil || model[name] == nil || !strings.Contains(err.Error(), "already loaded"):
+					t.Fatalf("%s: err %v with model entry %p", step, err, model[name])
 				}
 			case k < 7:
-				e := entries[rng.Intn(len(entries))]
+				e := model[live[rng.Intn(len(live))]]
 				step = "mutate " + e.Name
 				if err := mutateOnce(e, rng); err != nil {
 					t.Fatal(err)
 				}
 			case k < 8:
-				e := entries[rng.Intn(len(entries))]
+				e := model[live[rng.Intn(len(live))]]
 				step = "remove " + e.Name
-				if !r.Remove(e.Name) {
-					t.Fatalf("%s: not found", step)
+				if got := r.Remove(e.Name); got != e {
+					t.Fatalf("%s: removed %p, want %p", step, got, e)
 				}
+				delete(model, e.Name)
 				gone = append(gone, e)
 			case k < 9:
-				e := entries[rng.Intn(len(entries))]
+				e := model[live[rng.Intn(len(live))]]
 				step = "re-upload " + e.Name
 				r.Remove(e.Name)
 				fresh, err := r.Add(e.Name, randomGraph(rng), "test")
@@ -132,6 +160,7 @@ func TestRegistryIndexMatchesBuild(t *testing.T) {
 				if fresh.Generation() != 1 {
 					t.Fatalf("%s: generation %d, want 1", step, fresh.Generation())
 				}
+				model[e.Name] = fresh
 				gone = append(gone, e)
 			default:
 				if len(gone) == 0 {
@@ -143,7 +172,7 @@ func TestRegistryIndexMatchesBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			checkCorpus(t, fmt.Sprintf("seed %d op %d (%s)", seed, op, step), r)
+			checkCorpus(t, fmt.Sprintf("seed %d op %d (%s)", seed, op, step), r, model, probe)
 		}
 	}
 }
@@ -225,7 +254,7 @@ func TestConcurrentWritesAndSearches(t *testing.T) {
 					return
 				}
 				c := s.reg.pin()
-				n, rows := len(c.names), c.ix.Len()
+				n, rows := len(c.entries), c.ix.Len()
 				c.unpin()
 				if n != rows {
 					errs <- fmt.Errorf("published %d names for %d rows", n, rows)
@@ -239,5 +268,17 @@ func TestConcurrentWritesAndSearches(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	checkCorpus(t, "after concurrent writes", s.reg)
+	// The writers' final state is unknown, so the model is read back
+	// through Get; checkCorpus then holds the published rows to it.
+	names := []string{"m-anchor"}
+	for i := 0; i < 8; i++ {
+		names = append(names, fmt.Sprintf("c%d", i))
+	}
+	model := make(map[string]*GraphEntry)
+	for _, name := range names {
+		if e, ok := s.reg.Get(name); ok {
+			model[name] = e
+		}
+	}
+	checkCorpus(t, "after concurrent writes", s.reg, model, names)
 }

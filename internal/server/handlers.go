@@ -66,11 +66,15 @@ func parseAlgorithm(name string) (hged.PredictAlgorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (want bfs, dfs or heu)", name)
 }
 
-// capExpansions clamps a client-requested expansion budget to the server
-// cap (0 selects the cap itself).
-func (s *Server) capExpansions(req int64) int64 {
-	if req <= 0 || req > s.cfg.MaxSyncExpansions {
-		return s.cfg.MaxSyncExpansions
+// maxSyncExpansions caps the per-request HGED expansion budget of
+// synchronous queries; requests may ask for less, never more.
+const maxSyncExpansions = 2_000_000
+
+// capExpansions clamps a client-requested expansion budget to
+// maxSyncExpansions (0 selects the cap itself).
+func capExpansions(req int64) int64 {
+	if req <= 0 || req > maxSyncExpansions {
+		return maxSyncExpansions
 	}
 	return req
 }
@@ -280,11 +284,12 @@ func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 // graph's search-index row in the same write, so no later search sees it.
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !s.reg.Remove(name) {
+	e := s.reg.Remove(name)
+	if e == nil {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	s.metrics.graphDeleted()
+	s.metrics.graphDeleted(e)
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
@@ -347,7 +352,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "tau = %d, must be ≥ 0", req.Tau)
 		return
 	}
-	opts := hged.Options{Threshold: req.Tau, MaxExpansions: s.capExpansions(req.MaxExpansions)}
+	opts := hged.Options{Threshold: req.Tau, MaxExpansions: capExpansions(req.MaxExpansions)}
 	if req.Costs != nil {
 		cm := hged.CostModel{
 			Node:        req.Costs.Node,
@@ -463,7 +468,7 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 	// The predictor comes back with the graph of the generation it serves;
 	// validating ids against that same graph keeps the check and the σ
 	// queries consistent under concurrent mutation.
-	pred, g, err := e.sigmaPredictor(alg, s.capExpansions(req.MaxExpansions))
+	pred, g, err := e.sigmaPredictor(alg, capExpansions(req.MaxExpansions))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -560,7 +565,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	c := s.reg.pin()
 	defer c.unpin()
 	ix := *c.ix
-	ix.MaxExpansions = s.capExpansions(req.MaxExpansions)
+	ix.MaxExpansions = capExpansions(req.MaxExpansions)
 	ix.Parallelism = req.Parallelism
 	if ix.Parallelism > maxSearchParallelism {
 		ix.Parallelism = maxSearchParallelism
@@ -590,7 +595,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.searchDone(req.K > 0, stats, time.Since(start))
 	out := make([]searchMatch, len(matches))
 	for i, m := range matches {
-		out[i] = searchMatch{Name: c.names[m.ID], Distance: m.Distance}
+		out[i] = searchMatch{Name: c.entries[m.ID].Name, Distance: m.Distance}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "stats": stats})
 }

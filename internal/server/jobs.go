@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -199,27 +198,21 @@ type JobManager struct {
 	closed bool
 }
 
-func newJobManager(reg *Registry, metrics *Metrics, workers, queueDepth, retain int) *JobManager {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 16
-	}
-	if retain < 1 {
-		retain = 256
-	}
+// newJobManager starts cfg.Workers workers over a queue of cfg.QueueDepth
+// jobs, keeping up to cfg.JobRetention finished ones; New has already
+// filled the defaults in.
+func newJobManager(reg *Registry, metrics *Metrics, cfg Config) *JobManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
 		reg:        reg,
 		metrics:    metrics,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *Job, queueDepth),
+		queue:      make(chan *Job, cfg.QueueDepth),
 		jobs:       make(map[string]*Job),
-		retain:     retain,
+		retain:     cfg.JobRetention,
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
@@ -298,22 +291,14 @@ func (m *JobManager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List returns all jobs sorted by ID (submission order).
+// List returns the retained jobs in submission order.
 func (m *JobManager) List() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		out = append(out, j)
+	out := make([]*Job, len(m.order))
+	for i, id := range m.order {
+		out[i] = m.jobs[id]
 	}
-	sort.Slice(out, func(i, k int) bool {
-		// job-N: compare numerically via length-then-lexicographic.
-		a, b := out[i].ID, out[k].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
 	return out
 }
 
@@ -321,9 +306,8 @@ func (m *JobManager) List() []*Job {
 func (m *JobManager) gauges() (queued, running int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	//hgedvet:ignore detrange order-insensitive count of job states
-	for _, j := range m.jobs {
-		switch j.State() {
+	for _, id := range m.order {
+		switch m.jobs[id].State() {
 		case JobQueued:
 			queued++
 		case JobRunning:

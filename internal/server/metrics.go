@@ -1,6 +1,8 @@
 package server
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +25,10 @@ func newHistogram() *histogram {
 	return &histogram{Counts: make([]int64, len(latencyBounds)+1)}
 }
 
+func (h *histogram) clone() *histogram {
+	return &histogram{Counts: slices.Clone(h.Counts), SumMS: h.SumMS, Count: h.Count}
+}
+
 func (h *histogram) observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
 	i := 0
@@ -42,66 +48,31 @@ type endpointMetrics struct {
 
 // Metrics collects the server's expvar-style counters: requests by
 // endpoint and status, latency histograms, HGED solver expansions, σ-cache
-// activity, and job lifecycle counts. All methods are safe for concurrent
-// use.
+// activity, search, corpus cold-start, MVCC churn and job lifecycle
+// counts. Each counter is stored in its /metrics field. All methods are
+// safe for concurrent use.
 type Metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-
-	expansions int64 // solver expansions from synchronous distance queries
-
-	// job-side totals, accumulated when jobs finish
-	jobsSubmitted int64
-	jobsDone      int64
-	jobsFailed    int64
-	jobsCancelled int64
-	jobComputed   int64
-	jobHits       int64
-	jobDeduped    int64
-	jobExpanded   int64
-
-	// search-side totals, accumulated per completed /v1/search query
-	// (cancelled scans only show in the request counters)
-	searchRange   int64
-	searchKNN     int64
-	searchFilter  hged.FilterStats
-	searchLatency *histogram
-
-	// corpus cold-start provenance: how the serving corpus came to be
-	// ("hgx" restored from a snapshot, "rebuilt" built from source files,
-	// "none" before either), how long that took, and the snapshot size.
-	snapSource string
-	snapLoadNs int64
-	snapBytes  int64
-	snapGraphs int
-
-	// MVCC version-churn totals: committed mutation batches and what they
-	// changed, and graph deletions.
-	mutationBatches int64
-	nodesAdded      int64
-	nodesRemoved    int64
-	edgesAdded      int64
-	edgesRemoved    int64
-	relabeled       int64
-	fullDeltas      int64
-	graphsDeleted   int64
+	mu sync.Mutex
+	// c holds the stored counters; the gauges and the live σ-cache share
+	// are added by snapshot.
+	c MetricsSnapshot
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		endpoints:     make(map[string]*endpointMetrics),
-		searchLatency: newHistogram(),
-		snapSource:    "none",
-	}
+	m := &Metrics{}
+	m.c.Requests = make(map[string]*endpointMetrics)
+	m.c.Search.Latency = newHistogram()
+	m.c.Snapshot.Source = "none"
+	return m
 }
 
 func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	em, ok := m.endpoints[endpoint]
+	em, ok := m.c.Requests[endpoint]
 	if !ok {
 		em = &endpointMetrics{Status: make(map[int]int64), Latency: newHistogram()}
-		m.endpoints[endpoint] = em
+		m.c.Requests[endpoint] = em
 	}
 	em.Status[status]++
 	em.Latency.observe(d)
@@ -109,13 +80,13 @@ func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
 
 func (m *Metrics) addExpansions(n int64) {
 	m.mu.Lock()
-	m.expansions += n
+	m.c.HGED.Expansions += n
 	m.mu.Unlock()
 }
 
 func (m *Metrics) jobSubmitted() {
 	m.mu.Lock()
-	m.jobsSubmitted++
+	m.c.Jobs.Submitted++
 	m.mu.Unlock()
 }
 
@@ -124,16 +95,13 @@ func (m *Metrics) jobFinished(state JobState, st hged.PredictStats) {
 	defer m.mu.Unlock()
 	switch state {
 	case JobDone:
-		m.jobsDone++
+		m.c.Jobs.Done++
 	case JobFailed:
-		m.jobsFailed++
+		m.c.Jobs.Failed++
 	case JobCancelled:
-		m.jobsCancelled++
+		m.c.Jobs.Cancelled++
 	}
-	m.jobComputed += int64(st.PairsComputed)
-	m.jobHits += int64(st.PairsCached)
-	m.jobDeduped += int64(st.PairsDeduped)
-	m.jobExpanded += int64(st.Expanded)
+	m.c.SigmaCache.add(st)
 }
 
 // searchDone accumulates one completed similarity search: its mode, filter
@@ -141,41 +109,46 @@ func (m *Metrics) jobFinished(state JobState, st hged.PredictStats) {
 func (m *Metrics) searchDone(knn bool, st hged.FilterStats, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	s := &m.c.Search
 	if knn {
-		m.searchKNN++
+		s.KNN++
 	} else {
-		m.searchRange++
+		s.Range++
 	}
-	m.searchFilter.Candidates += st.Candidates
-	m.searchFilter.PrunedByCount += st.PrunedByCount
-	m.searchFilter.PrunedByLabel += st.PrunedByLabel
-	m.searchFilter.PrunedByCard += st.PrunedByCard
-	m.searchFilter.PrunedByBound += st.PrunedByBound
-	m.searchFilter.Verified += st.Verified
-	m.searchFilter.VerifiedWithin += st.VerifiedWithin
-	m.searchLatency.observe(d)
+	s.Candidates += int64(st.Candidates)
+	s.PrunedByCount += int64(st.PrunedByCount)
+	s.PrunedByLabel += int64(st.PrunedByLabel)
+	s.PrunedByCard += int64(st.PrunedByCard)
+	s.PrunedByBound += int64(st.PrunedByBound)
+	s.Verified += int64(st.Verified)
+	s.VerifiedWithin += int64(st.VerifiedWithin)
+	s.Latency.observe(d)
 }
 
 // mutationDone accumulates one committed mutation batch's delta.
 func (m *Metrics) mutationDone(d hged.GraphDelta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mutationBatches++
-	m.nodesAdded += int64(d.NodesAdded)
-	m.nodesRemoved += int64(d.NodesRemoved)
-	m.edgesAdded += int64(d.EdgesAdded)
-	m.edgesRemoved += int64(d.EdgesRemoved)
-	m.relabeled += int64(d.Relabeled)
+	v := &m.c.Versions
+	v.MutationBatches++
+	v.NodesAdded += int64(d.NodesAdded)
+	v.NodesRemoved += int64(d.NodesRemoved)
+	v.EdgesAdded += int64(d.EdgesAdded)
+	v.EdgesRemoved += int64(d.EdgesRemoved)
+	v.Relabeled += int64(d.Relabeled)
 	if d.Full {
-		m.fullDeltas++
+		v.FullInvalidations++
 	}
 }
 
-// graphDeleted records one registry removal.
-func (m *Metrics) graphDeleted() {
+// graphDeleted records one registry removal and keeps the removed entry's
+// σ-cache work in the stored counters, so the sigmaCache section does not
+// drop when the entry leaves the live sum.
+func (m *Metrics) graphDeleted(e *GraphEntry) {
 	m.mu.Lock()
-	m.graphsDeleted++
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	m.c.Versions.GraphsDeleted++
+	e.addSigmaStats(&m.c.SigmaCache)
 }
 
 // snapshotLoaded records how the serving corpus was cold-started: restored
@@ -184,14 +157,31 @@ func (m *Metrics) graphDeleted() {
 // without persisting), and the corpus size.
 func (m *Metrics) snapshotLoaded(source string, d time.Duration, bytes int64, graphs int) {
 	m.mu.Lock()
-	m.snapSource = source
-	m.snapLoadNs = d.Nanoseconds()
-	m.snapBytes = bytes
-	m.snapGraphs = graphs
+	m.c.Snapshot.Source = source
+	m.c.Snapshot.LoadNs = d.Nanoseconds()
+	m.c.Snapshot.Bytes = bytes
+	m.c.Snapshot.Graphs = graphs
 	m.mu.Unlock()
 }
 
-// MetricsSnapshot is the JSON shape served by GET /metrics.
+// sigmaCounters is the /metrics sigmaCache section: σ-cache work summed
+// over finished jobs, deleted graphs and every live per-graph predictor.
+type sigmaCounters struct {
+	Computed int64 `json:"computed"`
+	Hits     int64 `json:"hits"`
+	Deduped  int64 `json:"deduped"`
+	Expanded int64 `json:"expanded"`
+}
+
+func (c *sigmaCounters) add(st hged.PredictStats) {
+	c.Computed += int64(st.PairsComputed)
+	c.Hits += int64(st.PairsCached)
+	c.Deduped += int64(st.PairsDeduped)
+	c.Expanded += st.Expanded
+}
+
+// MetricsSnapshot is the JSON shape served by GET /metrics. Metrics stores
+// its counters in one, so this struct is the only declaration of each.
 type MetricsSnapshot struct {
 	// Requests maps "METHOD /pattern" to per-status counts and latency.
 	Requests map[string]*endpointMetrics `json:"requests"`
@@ -200,13 +190,10 @@ type MetricsSnapshot struct {
 		Expansions int64 `json:"expansions"`
 	} `json:"hged"`
 	// SigmaCache sums the σ-cache counters of every live per-graph
-	// predictor (sigma endpoint) plus all finished jobs.
-	SigmaCache struct {
-		Computed int64 `json:"computed"`
-		Hits     int64 `json:"hits"`
-		Deduped  int64 `json:"deduped"`
-		Expanded int64 `json:"expanded"`
-	} `json:"sigmaCache"`
+	// predictor (sigma endpoint), of deleted graphs' predictors and of all
+	// finished jobs.
+	SigmaCache sigmaCounters `json:"sigmaCache"`
+	// Jobs counts job lifecycle events; Queued and Running are gauges.
 	Jobs struct {
 		Submitted int64 `json:"submitted"`
 		Done      int64 `json:"done"`
@@ -264,74 +251,27 @@ type MetricsSnapshot struct {
 	} `json:"versions"`
 }
 
-// snapshot merges the counter state with the registry's live σ caches and
-// the job manager's queue gauges. Maps are deep-copied so the caller can
-// marshal without racing further updates.
+// snapshot copies the stored counters and adds the registry's live σ
+// caches and version gauges and the job manager's queue gauges. The maps
+// and histograms are deep-copied so the caller can marshal without racing
+// further updates.
 func (m *Metrics) snapshot(reg *Registry, jobs *JobManager) MetricsSnapshot {
-	snap := MetricsSnapshot{Requests: make(map[string]*endpointMetrics)}
-
 	m.mu.Lock()
+	snap := m.c
+	snap.Requests = make(map[string]*endpointMetrics, len(m.c.Requests))
 	//hgedvet:ignore detrange deep copy into another keyed map; iteration order cannot affect it
-	for k, em := range m.endpoints {
-		cp := &endpointMetrics{Status: make(map[int]int64, len(em.Status)), Latency: newHistogram()}
-		//hgedvet:ignore detrange deep copy into another keyed map; iteration order cannot affect it
-		for s, c := range em.Status {
-			cp.Status[s] = c
-		}
-		copy(cp.Latency.Counts, em.Latency.Counts)
-		cp.Latency.SumMS, cp.Latency.Count = em.Latency.SumMS, em.Latency.Count
-		snap.Requests[k] = cp
+	for k, em := range m.c.Requests {
+		snap.Requests[k] = &endpointMetrics{Status: maps.Clone(em.Status), Latency: em.Latency.clone()}
 	}
-	snap.HGED.Expansions = m.expansions
-	snap.SigmaCache.Computed = m.jobComputed
-	snap.SigmaCache.Hits = m.jobHits
-	snap.SigmaCache.Deduped = m.jobDeduped
-	snap.SigmaCache.Expanded = m.jobExpanded
-	snap.Jobs.Submitted = m.jobsSubmitted
-	snap.Jobs.Done = m.jobsDone
-	snap.Jobs.Failed = m.jobsFailed
-	snap.Jobs.Cancelled = m.jobsCancelled
-	snap.Search.Range = m.searchRange
-	snap.Search.KNN = m.searchKNN
-	snap.Search.Candidates = int64(m.searchFilter.Candidates)
-	snap.Search.PrunedByCount = int64(m.searchFilter.PrunedByCount)
-	snap.Search.PrunedByLabel = int64(m.searchFilter.PrunedByLabel)
-	snap.Search.PrunedByCard = int64(m.searchFilter.PrunedByCard)
-	snap.Search.PrunedByBound = int64(m.searchFilter.PrunedByBound)
-	snap.Search.Verified = int64(m.searchFilter.Verified)
-	snap.Search.VerifiedWithin = int64(m.searchFilter.VerifiedWithin)
-	snap.Search.Latency = newHistogram()
-	copy(snap.Search.Latency.Counts, m.searchLatency.Counts)
-	snap.Search.Latency.SumMS, snap.Search.Latency.Count = m.searchLatency.SumMS, m.searchLatency.Count
-	snap.Snapshot.Source = m.snapSource
-	snap.Snapshot.LoadNs = m.snapLoadNs
-	snap.Snapshot.Bytes = m.snapBytes
-	snap.Snapshot.Graphs = m.snapGraphs
-	snap.Versions.MutationBatches = m.mutationBatches
-	snap.Versions.NodesAdded = m.nodesAdded
-	snap.Versions.NodesRemoved = m.nodesRemoved
-	snap.Versions.EdgesAdded = m.edgesAdded
-	snap.Versions.EdgesRemoved = m.edgesRemoved
-	snap.Versions.Relabeled = m.relabeled
-	snap.Versions.FullInvalidations = m.fullDeltas
-	snap.Versions.GraphsDeleted = m.graphsDeleted
+	snap.Search.Latency = m.c.Search.Latency.clone()
 	m.mu.Unlock()
 
-	if reg != nil {
-		live := reg.cacheTotals()
-		snap.SigmaCache.Computed += int64(live.PairsComputed)
-		snap.SigmaCache.Hits += int64(live.PairsCached)
-		snap.SigmaCache.Deduped += int64(live.PairsDeduped)
-		snap.SigmaCache.Expanded += int64(live.Expanded)
-		for _, e := range reg.List() {
-			vg := e.Versions()
-			snap.Versions.GenerationsPublished += vg.Published()
-			snap.Versions.PinnedReaders += vg.PinnedReaders()
-		}
+	for _, e := range reg.corpus.Load().entries {
+		e.addSigmaStats(&snap.SigmaCache)
+		snap.Versions.GenerationsPublished += e.vg.Published()
+		snap.Versions.PinnedReaders += e.vg.PinnedReaders()
 	}
-	if jobs != nil {
-		snap.Jobs.Queued, snap.Jobs.Running = jobs.gauges()
-	}
+	snap.Jobs.Queued, snap.Jobs.Running = jobs.gauges()
 	snap.SolverPool.Hits, snap.SolverPool.Misses = core.SolverPoolStats()
 	return snap
 }

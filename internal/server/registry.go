@@ -3,10 +3,9 @@ package server
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unicode"
 
 	"hged"
@@ -19,9 +18,8 @@ import (
 // and its row of the registry's search index — is updated incrementally on
 // every commit.
 type GraphEntry struct {
-	Name     string
-	Source   string // file path, "upload", or "builtin"
-	LoadedAt time.Time
+	Name   string
+	Source string // file path, "upload", or "builtin"
 
 	reg *Registry // publishes the entry's search-index row on every commit
 	vg  *hged.VersionedGraph
@@ -45,9 +43,6 @@ func (e *GraphEntry) Pin() *hged.GraphGeneration { return e.vg.Pin() }
 
 // Generation returns the current generation's sequence number.
 func (e *GraphEntry) Generation() int64 { return e.vg.Current().Seq() }
-
-// Versions exposes the MVCC counters for /metrics.
-func (e *GraphEntry) Versions() *hged.VersionedGraph { return e.vg }
 
 // Stats returns summary statistics for the current generation, memoized
 // per generation.
@@ -125,31 +120,24 @@ func (e *GraphEntry) sigmaPredictor(alg hged.PredictAlgorithm, maxExp int64) (*h
 	return p, g, nil
 }
 
-// cacheStats sums the σ-cache counters across the entry's predictors.
-func (e *GraphEntry) cacheStats() hged.PredictStats {
+// addSigmaStats adds the σ-cache counters of the entry's predictors to c.
+func (e *GraphEntry) addSigmaStats(c *sigmaCounters) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var total hged.PredictStats
 	//hgedvet:ignore detrange commutative sum over per-predictor counters
 	for _, p := range e.sigma {
-		st := p.Stats()
-		total.PairsComputed += st.PairsComputed
-		total.PairsCached += st.PairsCached
-		total.PairsDeduped += st.PairsDeduped
-		total.Expanded += st.Expanded
+		c.add(p.Stats())
 	}
-	return total
 }
 
 // Registry holds the server's named hypergraphs and the search index over
-// them. Entries are added and removed under one lock; each entry's graph
-// versions independently through its MVCC wrapper. Every write — Add,
-// Remove and a committed GraphEntry.Mutate — publishes a new corpus
-// version under r.mu, so a search that pins the published version sees
-// every write that returned before it.
+// them. The published corpus version is the only record of what is
+// registered: readers load it without a lock, and every write — Add,
+// Remove and a committed GraphEntry.Mutate — publishes a new version under
+// r.mu, so a reader sees every write that returned before it. Each entry's
+// graph versions independently through its MVCC wrapper.
 type Registry struct {
-	mu     sync.RWMutex
-	graphs map[string]*GraphEntry
+	mu     sync.Mutex // serialises writers
 	corpus atomic.Pointer[corpus]
 	// spare is the version the last write replaced. The next write splices
 	// into its memory unless a search still pins it: that memory is
@@ -158,19 +146,26 @@ type Registry struct {
 	spare *corpus
 }
 
-// corpus is one published version of the search corpus: the registered
-// names in ascending order, and the index whose row i holds the current
-// generation of names[i]. A published version is never written; a write
-// publishes a spliced copy.
+// corpus is one published version of the registry: the registered entries
+// in ascending name order, and the search index whose row i holds the
+// current generation of entries[i]. A published version is never written;
+// a write publishes a spliced copy.
 type corpus struct {
-	names []string
-	ix    *hged.SearchIndex
-	pins  atomic.Int64 // searches reading this version
+	entries []*GraphEntry
+	ix      *hged.SearchIndex
+	pins    atomic.Int64 // searches reading this version
+}
+
+// find returns the position of name in c.entries and whether it is there.
+func (c *corpus) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(c.entries, name, func(e *GraphEntry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{graphs: make(map[string]*GraphEntry)}
+	r := &Registry{}
 	r.corpus.Store(&corpus{ix: hged.BuildSearchIndex(nil)})
 	return r
 }
@@ -233,7 +228,6 @@ func (r *Registry) newEntry(name string, g *hged.Hypergraph, source string) *Gra
 	return &GraphEntry{
 		Name:     name,
 		Source:   source,
-		LoadedAt: time.Now(),
 		reg:      r,
 		vg:       hged.NewVersionedGraph(g),
 		stats:    hged.Summarize(g),
@@ -256,13 +250,12 @@ func (r *Registry) Add(name string, g *hged.Hypergraph, source string) (*GraphEn
 	row := hged.BuildSearchIndex([]*hged.Hypergraph{g}) // the signature, outside the lock
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.graphs[name]; dup {
+	c := r.corpus.Load()
+	at, dup := c.find(name)
+	if dup {
 		return nil, fmt.Errorf("graph %q already loaded", name)
 	}
-	r.graphs[name] = e
-	names := r.corpus.Load().names
-	at, _ := slices.BinarySearch(names, name)
-	r.publish(&corpus{names: slices.Insert(slices.Clone(names), at, name), ix: r.splice(at, 0, row)})
+	r.publish(&corpus{entries: slices.Insert(slices.Clone(c.entries), at, e), ix: r.splice(at, 0, row)})
 	return e, nil
 }
 
@@ -277,13 +270,10 @@ func (r *Registry) restore(names []string, ix *hged.SearchIndex, source string) 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.graphs) != 0 {
-		return fmt.Errorf("registry already holds %d graphs", len(r.graphs))
+	if n := r.Len(); n != 0 {
+		return fmt.Errorf("registry already holds %d graphs", n)
 	}
-	for _, e := range entries {
-		r.graphs[e.Name] = e
-	}
-	r.publish(&corpus{names: names, ix: ix})
+	r.publish(&corpus{entries: entries, ix: ix})
 	return nil
 }
 
@@ -294,12 +284,12 @@ func (r *Registry) restore(names []string, ix *hged.SearchIndex, source string) 
 func (r *Registry) replace(e *GraphEntry, row *hged.SearchIndex) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.graphs[e.Name] != e {
+	c := r.corpus.Load()
+	at, ok := c.find(e.Name)
+	if !ok || c.entries[at] != e {
 		return
 	}
-	names := r.corpus.Load().names
-	at, _ := slices.BinarySearch(names, e.Name)
-	r.publish(&corpus{names: names, ix: r.splice(at, 1, row)})
+	r.publish(&corpus{entries: c.entries, ix: r.splice(at, 1, row)})
 }
 
 // LoadFile reads a graph file (.hg or .json) and registers it under name.
@@ -313,56 +303,31 @@ func (r *Registry) LoadFile(name, path string) (*GraphEntry, error) {
 
 // Get returns the entry for name.
 func (r *Registry) Get(name string) (*GraphEntry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.graphs[name]
-	return e, ok
+	c := r.corpus.Load()
+	if at, ok := c.find(name); ok {
+		return c.entries[at], true
+	}
+	return nil, false
 }
 
-// Remove deletes the entry for name and its search-index row, reporting
-// whether it existed. Pinned readers of any of its generations finish
-// undisturbed; the name is immediately free for re-registration.
-func (r *Registry) Remove(name string) bool {
+// Remove deletes the entry for name and its search-index row, returning
+// the removed entry, or nil when there was none. Pinned readers of any of
+// its generations finish undisturbed; the name is immediately free for
+// re-registration.
+func (r *Registry) Remove(name string) *GraphEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.graphs[name]; !ok {
-		return false
+	c := r.corpus.Load()
+	at, ok := c.find(name)
+	if !ok {
+		return nil
 	}
-	delete(r.graphs, name)
-	names := r.corpus.Load().names
-	at, _ := slices.BinarySearch(names, name)
-	r.publish(&corpus{names: slices.Delete(slices.Clone(names), at, at+1), ix: r.splice(at, 1, nil)})
-	return true
+	r.publish(&corpus{entries: slices.Delete(slices.Clone(c.entries), at, at+1), ix: r.splice(at, 1, nil)})
+	return c.entries[at]
 }
 
 // List returns all entries sorted by name.
-func (r *Registry) List() []*GraphEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*GraphEntry, 0, len(r.graphs))
-	for _, e := range r.graphs {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func (r *Registry) List() []*GraphEntry { return slices.Clone(r.corpus.Load().entries) }
 
 // Len returns the number of loaded graphs.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.graphs)
-}
-
-// cacheTotals sums σ-cache counters across every entry's predictors.
-func (r *Registry) cacheTotals() hged.PredictStats {
-	var total hged.PredictStats
-	for _, e := range r.List() {
-		st := e.cacheStats()
-		total.PairsComputed += st.PairsComputed
-		total.PairsCached += st.PairsCached
-		total.PairsDeduped += st.PairsDeduped
-		total.Expanded += st.Expanded
-	}
-	return total
-}
+func (r *Registry) Len() int { return len(r.corpus.Load().entries) }

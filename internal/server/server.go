@@ -46,17 +46,6 @@ type Config struct {
 	// MaxUploadBytes bounds graph upload request bodies. 0 defaults to
 	// 32 MiB.
 	MaxUploadBytes int64
-	// MaxSyncExpansions caps the per-request HGED expansion budget of
-	// synchronous queries (requests may ask for less, never more). 0
-	// defaults to 2,000,000.
-	MaxSyncExpansions int64
-	// CorpusSnapshot, when non-empty, is the path of the combined
-	// corpus+index snapshot (.hgx): LoadCorpusSnapshot restores the whole
-	// registry and search index from it in one shot (graphs land directly
-	// in their frozen CSR form — no parse, no re-freeze), and
-	// SaveCorpusSnapshot persists the current corpus there so the next
-	// start skips the rebuild.
-	CorpusSnapshot string
 	// Logger receives one structured line per request. Nil discards.
 	Logger *log.Logger
 }
@@ -79,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 32 << 20
-	}
-	if c.MaxSyncExpansions <= 0 {
-		c.MaxSyncExpansions = 2_000_000
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
@@ -110,7 +96,7 @@ func New(cfg Config) *Server {
 		metrics: newMetrics(),
 		sem:     make(chan struct{}, cfg.SyncLimit),
 	}
-	s.jobs = newJobManager(s.reg, s.metrics, cfg.Workers, cfg.QueueDepth, cfg.JobRetention)
+	s.jobs = newJobManager(s.reg, s.metrics, cfg)
 	s.handler = s.routes()
 	return s
 }

@@ -70,7 +70,10 @@ func (s *Server) SaveCorpusSnapshot(ctx context.Context, path string) error {
 	start := time.Now()
 	c := s.reg.pin()
 	defer c.unpin()
-	names := c.names
+	names := make([]string, len(c.entries))
+	for i, e := range c.entries {
+		names[i] = e.Name
+	}
 	if err := hged.WriteCorpusSnapshotFile(path, names, c.ix); err != nil {
 		return err
 	}

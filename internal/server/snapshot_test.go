@@ -89,7 +89,7 @@ func TestCorpusSnapshotColdStart(t *testing.T) {
 	// First server: text-parsed corpus, index kept by the registry,
 	// persisted snapshot — the flow cmd/hgedd runs when the snapshot is
 	// missing.
-	first := server.New(server.Config{CorpusSnapshot: snap})
+	first := server.New(server.Config{})
 	for i, name := range names {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
@@ -121,7 +121,7 @@ func TestCorpusSnapshotColdStart(t *testing.T) {
 	// Second server: cold start from the snapshot only — no graph files
 	// touched, no signature computed, and (the tentpole property) no CSR
 	// freeze rebuilt.
-	second := server.New(server.Config{CorpusSnapshot: snap})
+	second := server.New(server.Config{})
 	before := hypergraph.FreezeBuilds()
 	if err := second.LoadCorpusSnapshot(ctx, snap, names); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestLoadCorpusSnapshotRejects(t *testing.T) {
 	names, paths := corpusFiles(t, dir, 6)
 	ctx := context.Background()
 
-	first := server.New(server.Config{CorpusSnapshot: snap})
+	first := server.New(server.Config{})
 	for i, name := range names {
 		if _, err := first.Registry().LoadFile(name, paths[i]); err != nil {
 			t.Fatal(err)
