@@ -549,13 +549,12 @@ func suite() []benchmark {
 		{"Search/uni-range", benchUniformRange},
 		{"Search/uni-knn", benchUniformKNN},
 		// The Snapshot group measures corpus cold start: loading the
-		// 256-graph filter-batch corpus from a combined .hgx snapshot
-		// (graphs land directly in their frozen CSR form, the signature
-		// table is restored column-for-column) versus parsing the same
-		// corpus from .hg text files and rebuilding the index.
-		// freezeBuilds/op counts CSR constructions during the timed loop —
-		// the .hgx paths must report 0.0, including through the first
-		// query (the zero-rebuild cold-start property).
+		// 256-graph filter-batch corpus from a .hgx snapshot (graphs land
+		// with their CSR views built from the decoded arrays, and the index
+		// is built over them) versus parsing the same corpus from .hg text
+		// files and building the index. freezeBuilds/op counts CSR
+		// constructions during the timed loop — the .hgx paths must report
+		// 0.0, including through the first query.
 		{"Snapshot/load-hgx", func(b *testing.B) {
 			_, hgx := snapshotBenchEnv(b)
 			before := hypergraph.FreezeBuilds()

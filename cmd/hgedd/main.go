@@ -77,7 +77,7 @@ func run() error {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
 	maxUpload := flag.Int64("max-upload", 32<<20, "max graph upload body bytes")
 	jobRetention := flag.Int("job-retention", 256, "finished HEP jobs kept for inspection (oldest evicted first)")
-	corpusSnapshot := flag.String("corpus-snapshot", "", "combined corpus+index snapshot path (.hgx): cold-start from it when it matches the requested corpus, rebuild from the graph files and write it otherwise")
+	corpusSnapshot := flag.String("corpus-snapshot", "", "corpus snapshot path (.hgx): cold-start from it when it matches the requested corpus, rebuild from the graph files and write it otherwise")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	flag.Func("load", "name=path: load a .hg or .json graph at startup (repeatable)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
@@ -115,10 +115,10 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Cold-start from the combined corpus+index snapshot when it matches
-	// the requested corpus: the graphs land directly in their frozen CSR
-	// form and the search index is adopted as-is, so no file is parsed and
-	// nothing is rebuilt.
+	// Cold-start from the corpus snapshot when it matches the requested
+	// corpus: the graphs land directly in their CSR form and the search
+	// index is built over them, so no file is parsed and no CSR view is
+	// rebuilt.
 	restored := false
 	if *corpusSnapshot != "" {
 		want := make([]string, 0, len(loads)+len(bensons))

@@ -44,7 +44,7 @@ func run() error {
 	egos := flag.Bool("egos", false, "treat the single corpus file as a host graph and search its ego networks")
 	maxExp := flag.Int64("max-expansions", 0, "per-verification expansion budget (0 = default)")
 	parallel := flag.Int("parallel", 0, "verification workers (≤ 1 = sequential)")
-	corpusSnapshot := flag.String("corpus-snapshot", "", "combined corpus+index snapshot path (.hgx): loaded when it matches the corpus files (or used as the whole corpus when none are given), written after a build")
+	corpusSnapshot := flag.String("corpus-snapshot", "", "corpus snapshot path (.hgx): loaded when it matches the corpus files (or used as the whole corpus when none are given), written after a build")
 	flag.Parse()
 
 	if *query == "" {
@@ -135,8 +135,7 @@ func run() error {
 	return nil
 }
 
-// fromCorpusSnapshot restores the corpus and index from a combined .hgx
-// snapshot. With corpus files on the command line the snapshot must list
+// fromCorpusSnapshot loads the corpus from a .hgx snapshot and indexes it. With corpus files on the command line the snapshot must list
 // exactly those files in the same order (so result IDs mean the same thing
 // a fresh build would); with none, the snapshot itself defines the corpus.
 func fromCorpusSnapshot(path string, files []string) (*search.Index, func(id int) string, error) {

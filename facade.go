@@ -158,18 +158,17 @@ func BuildSearchIndexReusing(corpus []*Hypergraph, prev *SearchIndex, reuse []in
 	return search.BuildReusing(corpus, prev, reuse)
 }
 
-// WriteCorpusSnapshot serializes a whole search corpus — the graphs (as
-// nested binary records) and the index's signature table and digests — as
-// one checksummed .hgx snapshot. names[i] labels graph i (registry names or
-// source file paths).
+// WriteCorpusSnapshot serializes a whole search corpus — the names and
+// the graphs as nested binary records — as one checksummed .hgx snapshot.
+// names[i] labels graph i (registry names or source file paths).
 func WriteCorpusSnapshot(w io.Writer, names []string, ix *SearchIndex) error {
 	return hgio.WriteCorpusSnapshot(w, names, ix)
 }
 
-// ReadCorpusSnapshot restores a corpus snapshot: the graphs come back
-// frozen-first (CSR views built straight from the decoded arrays, no map
-// round-trip) and the index is revalidated against them, so a load either
-// yields a fully consistent corpus or an error.
+// ReadCorpusSnapshot restores a corpus snapshot: each graph comes back with
+// the CSR view it was decoded into, and the search index is built over
+// those graphs, so it always agrees with them. A load yields the whole
+// corpus or an error.
 func ReadCorpusSnapshot(r io.Reader) ([]string, *SearchIndex, error) {
 	return hgio.ReadCorpusSnapshot(r)
 }

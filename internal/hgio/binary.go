@@ -133,9 +133,9 @@ func validateBinaryHeader(header []byte) (n, m, nlab, incid int, err error) {
 }
 
 // decodeBinary decodes one complete .hgb record (magic through CRC trailer,
-// no surrounding bytes) and constructs the hypergraph frozen-first via
-// hypergraph.FromFrozen — the flat arrays are handed to the CSR view
-// directly, never replayed through the mutable representation. The corpus
+// no surrounding bytes) and constructs the hypergraph via
+// hypergraph.FromFrozen: the flat arrays become its CSR view directly,
+// never replayed through AddEdge, and its lists are slices of them. The corpus
 // snapshot reader calls it on length-delimited windows of a larger file, so
 // it must never read past len(data).
 func decodeBinary(data []byte) (*hypergraph.Hypergraph, error) {
@@ -192,9 +192,9 @@ func decodeBinary(data []byte) (*hypergraph.Hypergraph, error) {
 
 // ReadBinary parses the .hgb format written by WriteBinary: one header read,
 // one body read, then decodeBinary validates everything (checksum included)
-// before any hypergraph is constructed. The result is built frozen-first —
-// its CSR view is assembled straight from the decoded arrays, so loading
-// performs no map round-trip and no re-freeze.
+// before any hypergraph is constructed. The result's CSR view is
+// assembled straight from the decoded arrays, so loading performs no
+// Freeze rebuild.
 func ReadBinary(r io.Reader) (*hypergraph.Hypergraph, error) {
 	header := make([]byte, binaryGraphHeaderLen)
 	if _, err := io.ReadFull(r, header); err != nil {

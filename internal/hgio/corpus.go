@@ -13,44 +13,31 @@ import (
 	"hged/internal/search"
 )
 
-// Combined corpus+index snapshot layout (.hgx, all integers little-endian).
-// One file holds everything a server needs to answer its first query: the
-// corpus graphs as nested .hgb records, the search index's signature-table
-// columns exactly as they sit in memory, and the per-graph signature
-// digests. Loading it constructs every graph frozen-first and restores the
-// index without recomputing a single signature — zero Freeze rebuilds on
-// the cold path.
+// Corpus snapshot layout (.hgx, all integers little-endian). One file
+// holds the corpus a server searches: the entry names and the graphs as
+// nested .hgb records. Everything derived from the graphs — the search
+// index's signature table — is rebuilt on load, so a snapshot can never
+// disagree with the graphs it carries.
 //
 //	offset  size      field
 //	0       8         magic "HGEDIDX1"
-//	8       4         format version (uint32, currently 1)
+//	8       4         format version (uint32, currently 2)
 //	12      4         G — corpus size (uint32)
 //	16      4         flags (uint32; must be 0)
 //	...               G × (uint32 length + name bytes) — corpus entry names
 //	...               G × (uint32 length + nested .hgb record)
-//	...     4G        signature column n (G × int32)
-//	...     4G        signature column m (G × int32)
-//	...     4G        signature column incid (G × int32)
-//	...     4(G+1)    cardinality arena offsets (int32, first 0)
-//	...     4·cards   cardinality arena (cardOff[G] × int32)
-//	...     4(G+1)    node-label arena offsets
-//	...     4·nlab    node-label arena labels (nodeOff[G] × int32)
-//	...     4·nlab    node-label arena multiplicities
-//	...     4(G+1)    edge-label arena offsets
-//	...     4·elab    edge-label arena labels (edgeOff[G] × int32)
-//	...     4·elab    edge-label arena multiplicities
-//	...     8G        per-graph signature digests (G × uint64)
 //	...     4         CRC-32 (IEEE) of everything above (uint32)
 //
-// Arena lengths are implied by the final offset entry, so the file carries
-// no redundant counts to cross-check against each other. The trailing
-// checksum is verified before any graph or index is constructed, and
-// search.FromSnapshot re-validates the restored table against the decoded
-// graphs (including a digest recomputation), so a torn, truncated, or
-// tampered snapshot is rejected rather than installed.
+// Version 1 files carry the signature table and per-graph digests between
+// the last graph record and the CRC. The reader still accepts them, checks
+// the CRC over the whole file and skips that section unread: the table is
+// rebuilt from the graphs like any other.
 const (
 	corpusSnapshotMagic   = "HGEDIDX1"
-	corpusSnapshotVersion = uint32(1)
+	corpusSnapshotVersion = uint32(2)
+	// corpusSnapshotV1 is the previous version, whose trailing signature
+	// section the reader skips.
+	corpusSnapshotV1 = uint32(1)
 
 	// maxSnapshotGraphs bounds the corpus size and maxSnapshotNameLen a
 	// single corpus entry name, protecting the reader from hostile length
@@ -60,8 +47,8 @@ const (
 )
 
 // WriteCorpusSnapshot serializes the corpus behind ix (names[i] labels graph
-// i; typically registry names or source file paths) together with the
-// index's signature table and digests. The flags word is always 0.
+// i; typically registry names or source file paths). The flags word is
+// always 0.
 func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 	if ix == nil {
 		return fmt.Errorf("hgio: nil search index")
@@ -74,8 +61,6 @@ func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 			return fmt.Errorf("hgio: corpus entry %d name is %d bytes (max %d)", i, len(name), maxSnapshotNameLen)
 		}
 	}
-	snap := ix.Snapshot()
-
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(w)
 	out := io.MultiWriter(bw, crc)
@@ -106,36 +91,6 @@ func WriteCorpusSnapshot(w io.Writer, names []string, ix *search.Index) error {
 			return fmt.Errorf("hgio: %w", err)
 		}
 	}
-	for _, col := range [][]int32{snap.N, snap.M, snap.Incid, snap.CardOff, snap.Cards} {
-		if err := writeI32s(out, col); err != nil {
-			return err
-		}
-	}
-	if err := writeI32s(out, snap.NodeOff); err != nil {
-		return err
-	}
-	if err := writeLabels(out, snap.NodeLabels); err != nil {
-		return err
-	}
-	if err := writeI32s(out, snap.NodeCounts); err != nil {
-		return err
-	}
-	if err := writeI32s(out, snap.EdgeOff); err != nil {
-		return err
-	}
-	if err := writeLabels(out, snap.EdgeLabels); err != nil {
-		return err
-	}
-	if err := writeI32s(out, snap.EdgeCounts); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	for _, d := range snap.Digests {
-		binary.LittleEndian.PutUint64(u64[:], d)
-		if _, err := out.Write(u64[:]); err != nil {
-			return fmt.Errorf("hgio: %w", err)
-		}
-	}
 	if err := writeU32s(bw, crc.Sum32()); err != nil {
 		return err
 	}
@@ -151,7 +106,7 @@ func WriteCorpusSnapshotFile(path string, names []string, ix *search.Index) erro
 }
 
 // corpusReader walks the snapshot payload (everything before the CRC
-// trailer, which the caller has already verified), serving each section as
+// trailer, which the caller has already verified), serving each record as
 // a subslice of the one contiguous read.
 type corpusReader struct {
 	data []byte
@@ -178,35 +133,8 @@ func (r *corpusReader) u32() (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// i32s reads count little-endian int32s. The length check inside next
-// bounds the allocation by the actual payload size, so a corrupt count
-// cannot trigger a huge allocation.
-func (r *corpusReader) i32s(count int) ([]int32, error) {
-	b, err := r.next(4 * count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
-func (r *corpusReader) labels(count int) ([]hypergraph.Label, error) {
-	b, err := r.next(4 * count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hypergraph.Label, count)
-	for i := range out {
-		out[i] = hypergraph.Label(int32(binary.LittleEndian.Uint32(b[4*i:])))
-	}
-	return out, nil
-}
-
 // decodeCorpus parses the snapshot payload (CRC already verified and
-// stripped) and restores the corpus and its index.
+// stripped) and indexes the decoded graphs.
 func decodeCorpus(body []byte) ([]string, *search.Index, error) {
 	src := &corpusReader{data: body}
 	head, err := src.next(len(corpusSnapshotMagic))
@@ -220,8 +148,8 @@ func decodeCorpus(body []byte) ([]string, *search.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if version != corpusSnapshotVersion {
-		return nil, nil, fmt.Errorf("hgio: unsupported corpus snapshot version %d (want %d)", version, corpusSnapshotVersion)
+	if version != corpusSnapshotVersion && version != corpusSnapshotV1 {
+		return nil, nil, fmt.Errorf("hgio: unsupported corpus snapshot version %d (want %d or %d)", version, corpusSnapshotV1, corpusSnapshotVersion)
 	}
 	ug, err := src.u32()
 	if err != nil {
@@ -270,74 +198,12 @@ func decodeCorpus(body []byte) ([]string, *search.Index, error) {
 			return nil, nil, fmt.Errorf("corpus snapshot graph %d: %w", i, err)
 		}
 	}
-	snap := &search.Snapshot{}
-	if snap.N, err = src.i32s(g); err != nil {
-		return nil, nil, err
-	}
-	if snap.M, err = src.i32s(g); err != nil {
-		return nil, nil, err
-	}
-	if snap.Incid, err = src.i32s(g); err != nil {
-		return nil, nil, err
-	}
-	arena := func(off []int32) (int, error) {
-		if last := off[g]; last < 0 {
-			return 0, fmt.Errorf("hgio: corpus snapshot arena length %d is negative", last)
-		}
-		return int(off[g]), nil
-	}
-	if snap.CardOff, err = src.i32s(g + 1); err != nil {
-		return nil, nil, err
-	}
-	cards, err := arena(snap.CardOff)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap.Cards, err = src.i32s(cards); err != nil {
-		return nil, nil, err
-	}
-	if snap.NodeOff, err = src.i32s(g + 1); err != nil {
-		return nil, nil, err
-	}
-	nlab, err := arena(snap.NodeOff)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap.NodeLabels, err = src.labels(nlab); err != nil {
-		return nil, nil, err
-	}
-	if snap.NodeCounts, err = src.i32s(nlab); err != nil {
-		return nil, nil, err
-	}
-	if snap.EdgeOff, err = src.i32s(g + 1); err != nil {
-		return nil, nil, err
-	}
-	elab, err := arena(snap.EdgeOff)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap.EdgeLabels, err = src.labels(elab); err != nil {
-		return nil, nil, err
-	}
-	if snap.EdgeCounts, err = src.i32s(elab); err != nil {
-		return nil, nil, err
-	}
-	b, err := src.next(8 * g)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap.Digests = make([]uint64, g)
-	for i := range snap.Digests {
-		snap.Digests[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	if left := src.remaining(); left != 0 {
+	// What follows the graphs of a version-1 file is its signature section,
+	// left unread.
+	if left := src.remaining(); left != 0 && version == corpusSnapshotVersion {
 		return nil, nil, fmt.Errorf("hgio: %d trailing bytes after corpus snapshot", left)
 	}
-	ix, err := search.FromSnapshot(graphs, snap)
-	if err != nil {
-		return nil, nil, fmt.Errorf("hgio: corpus snapshot rejected: %w", err)
-	}
-	return names, ix, nil
+	return names, search.Build(graphs), nil
 }
 
 // decodeCorpusSnapshot verifies the CRC trailer over a complete in-memory
@@ -355,8 +221,9 @@ func decodeCorpusSnapshot(data []byte) ([]string, *search.Index, error) {
 }
 
 // ReadCorpusSnapshot parses a snapshot written by WriteCorpusSnapshot. It
-// returns the corpus entry names and a fully validated index over graphs
-// constructed frozen-first, or an error — never a partial corpus.
+// returns the corpus entry names and an index built over the decoded
+// graphs, or an error — never a partial corpus. Each graph keeps the CSR
+// view it was decoded into, so indexing it performs no Freeze rebuild.
 func ReadCorpusSnapshot(r io.Reader) ([]string, *search.Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -384,28 +251,6 @@ func writeU32s(w io.Writer, vs ...uint32) error {
 	var buf [4]byte
 	for _, v := range vs {
 		binary.LittleEndian.PutUint32(buf[:], v)
-		if _, err := w.Write(buf[:]); err != nil {
-			return fmt.Errorf("hgio: %w", err)
-		}
-	}
-	return nil
-}
-
-func writeI32s(w io.Writer, vs []int32) error {
-	var buf [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			return fmt.Errorf("hgio: %w", err)
-		}
-	}
-	return nil
-}
-
-func writeLabels(w io.Writer, vs []hypergraph.Label) error {
-	var buf [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(buf[:], uint32(int32(v)))
 		if _, err := w.Write(buf[:]); err != nil {
 			return fmt.Errorf("hgio: %w", err)
 		}

@@ -182,12 +182,12 @@ func (h *Hypergraph) frozen() *CSR {
 
 // freezeBuilds counts process-wide CSR constructions (Freeze cache misses).
 // Cold-start benchmarks and the snapshot differential tests read it to prove
-// a frozen-first load path performs zero rebuilds.
+// a snapshot load performs zero rebuilds.
 var freezeBuilds atomic.Int64
 
 // FreezeBuilds returns the number of CSR views built by this process so far.
-// Graphs constructed frozen-first (FromFrozen) never increment it unless
-// they are mutated and re-frozen.
+// Graphs constructed by FromFrozen never increment it unless they are
+// mutated and re-frozen.
 func FreezeBuilds() int64 { return freezeBuilds.Load() }
 
 func (h *Hypergraph) buildCSR() *CSR {

@@ -2,15 +2,14 @@ package hypergraph
 
 import "fmt"
 
-// FromFrozen constructs a hypergraph directly in its frozen CSR form from
-// decoded flat arrays, without round-tripping through the mutable
-// slice-of-slices representation. This is the cold-start fast path used by
-// the binary graph and corpus-snapshot readers: the edge-major arrays are
-// validated, the label dictionary is normalized to the same first-seen
-// interning order Freeze would produce, and the node-major incidence arrays
-// are derived by one counting transpose. The mutable representation is
-// materialized lazily on first mutation ("thaw"); until then every accessor
-// is served from the CSR view and Freeze never rebuilds.
+// FromFrozen constructs a hypergraph from decoded flat CSR arrays, the
+// path used by the binary graph and corpus-snapshot readers: the edge-major
+// arrays are validated, the label dictionary is normalized to the same
+// first-seen interning order Freeze would produce, and the node-major
+// incidence arrays are derived by one counting transpose. The result keeps
+// that CSR as its memoized Freeze view, so loading performs no Freeze
+// rebuild, and its member and incidence lists are slices of the same
+// arrays.
 //
 // Inputs: labels is the dictionary, nodeLab/edgeLab hold per-node and
 // per-hyperedge dictionary ids, and edge e's members are
@@ -64,9 +63,9 @@ func FromFrozen(labels []Label, nodeLab, edgeLab, edgeOff []int32, edgeNodes []N
 
 	// Normalize the dictionary to first-seen interning order (node labels by
 	// id, then hyperedge labels by id) so graphs decoded from foreign files
-	// intern identically to buildCSR: signature digests and snapshot
-	// compatibility checks depend on this canonical order. Duplicate and
-	// unused dictionary entries collapse away here.
+	// intern identically to buildCSR, and the binary writer emits the same
+	// bytes for both. Duplicate and unused dictionary entries collapse away
+	// here.
 	remap := make([]int32, oldL)
 	for i := range remap {
 		remap[i] = -1
@@ -116,7 +115,7 @@ func FromFrozen(labels []Label, nodeLab, edgeLab, edgeOff []int32, edgeNodes []N
 		}
 	}
 
-	h := &Hypergraph{csr: &CSR{
+	c := &CSR{
 		nodeOff:   nodeOff,
 		nodeEdges: nodeEdges,
 		edgeOff:   edgeOff,
@@ -125,100 +124,25 @@ func FromFrozen(labels []Label, nodeLab, edgeLab, edgeOff []int32, edgeNodes []N
 		edgeLab:   edgeLab,
 		labels:    dict,
 		labelID:   labelID,
-	}}
-	h.lazy.Store(true)
+	}
+
+	// The mutable lists are capacity-capped views of the CSR arrays: an
+	// append reallocates and removals reallocate the lists they change, so
+	// no mutation ever writes into the CSR kept as the memoized Freeze.
+	h := &Hypergraph{
+		nodeLabels: make([]Label, n),
+		edges:      make([]Hyperedge, m),
+		incidence:  make([][]EdgeID, n),
+		csr:        c,
+	}
+	for v := 0; v < n; v++ {
+		h.nodeLabels[v] = dict[nodeLab[v]]
+		a, b := nodeOff[v], nodeOff[v+1]
+		h.incidence[v] = nodeEdges[a:b:b]
+	}
+	for e := 0; e < m; e++ {
+		a, b := edgeOff[e], edgeOff[e+1]
+		h.edges[e] = Hyperedge{Label: dict[edgeLab[e]], Nodes: edgeNodes[a:b:b]}
+	}
 	return h, nil
-}
-
-// lazyCSR returns the CSR backing a frozen-first graph, or nil when the
-// mutable representation is authoritative. Accessors branch on it so reads
-// of a FromFrozen graph never materialize anything.
-func (h *Hypergraph) lazyCSR() *CSR {
-	if h.lazy.Load() {
-		return h.csr
-	}
-	return nil
-}
-
-// thaw materializes the mutable representation of a frozen-first graph.
-// It is a no-op for graphs built through the mutable constructors. The CSR
-// view is kept — the graph content is unchanged, so Freeze stays memoized.
-func (h *Hypergraph) thaw() {
-	if !h.lazy.Load() {
-		return
-	}
-	h.egoMu.Lock()
-	if h.lazy.Load() {
-		h.materializeLocked()
-		h.lazy.Store(false)
-	}
-	h.egoMu.Unlock()
-}
-
-// materializeLocked fills nodeLabels/edges/incidence from the CSR view.
-// Caller holds egoMu. The hyperedge node lists and incidence lists alias the
-// CSR arrays through capacity-capped subslices: any append reallocates, so
-// later mutations can never clobber a neighboring range (or a CSR shared
-// with a lazy Clone).
-func (h *Hypergraph) materializeLocked() {
-	c := h.csr
-	n, m := c.NumNodes(), c.NumEdges()
-	h.nodeLabels = make([]Label, n)
-	for v := 0; v < n; v++ {
-		h.nodeLabels[v] = c.labels[c.nodeLab[v]]
-	}
-	h.edges = make([]Hyperedge, m)
-	for e := 0; e < m; e++ {
-		a, b := c.edgeOff[e], c.edgeOff[e+1]
-		h.edges[e] = Hyperedge{Label: c.labels[c.edgeLab[e]], Nodes: c.edgeNodes[a:b:b]}
-	}
-	h.incidence = make([][]EdgeID, n)
-	for v := 0; v < n; v++ {
-		a, b := c.nodeOff[v], c.nodeOff[v+1]
-		h.incidence[v] = c.nodeEdges[a:b:b]
-	}
-}
-
-// validateFrozen checks the structural invariants of a frozen-first graph
-// directly on the CSR arrays, so Validate on an untouched FromFrozen graph
-// allocates nothing and never thaws: offsets monotone and spanning, members
-// strictly ascending and in range, incidence an exact transpose.
-func (h *Hypergraph) validateFrozen(c *CSR) error {
-	n, m := c.NumNodes(), c.NumEdges()
-	if len(c.nodeOff) != n+1 || len(c.edgeOff) != m+1 {
-		return fmt.Errorf("hypergraph: frozen offset lengths %d/%d for n=%d m=%d", len(c.nodeOff), len(c.edgeOff), n, m)
-	}
-	for e := 0; e < m; e++ {
-		a, b := c.edgeOff[e], c.edgeOff[e+1]
-		if a < 0 || b < a || int(b) > len(c.edgeNodes) {
-			return fmt.Errorf("hypergraph: frozen hyperedge %d offsets [%d,%d) invalid", e, a, b)
-		}
-		prev := NodeID(-1)
-		for _, v := range c.edgeNodes[a:b] {
-			if v <= prev || int(v) >= n {
-				return fmt.Errorf("hypergraph: frozen hyperedge %d members not sorted/unique/in range", e)
-			}
-			prev = v
-		}
-	}
-	for v := 0; v < n; v++ {
-		a, b := c.nodeOff[v], c.nodeOff[v+1]
-		if a < 0 || b < a || int(b) > len(c.nodeEdges) {
-			return fmt.Errorf("hypergraph: frozen node %d offsets [%d,%d) invalid", v, a, b)
-		}
-		prev := EdgeID(-1)
-		for _, e := range c.nodeEdges[a:b] {
-			if e <= prev || int(e) >= m {
-				return fmt.Errorf("hypergraph: frozen node %d incident edges not sorted/unique/in range", v)
-			}
-			if !(Hyperedge{Nodes: c.Members(e)}).Contains(NodeID(v)) {
-				return fmt.Errorf("hypergraph: frozen node %d listed incident to edge %d but not a member", v, e)
-			}
-			prev = e
-		}
-	}
-	if int(c.nodeOff[n]) != len(c.nodeEdges) || len(c.nodeEdges) != len(c.edgeNodes) {
-		return fmt.Errorf("hypergraph: frozen incidence counts disagree (%d node-major, %d edge-major)", c.nodeOff[n], c.edgeOff[m])
-	}
-	return nil
 }

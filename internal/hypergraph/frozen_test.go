@@ -2,12 +2,14 @@ package hypergraph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// frozenTwin rebuilds g frozen-first from copies of its CSR arrays, the way
-// the binary reader does.
+// frozenTwin rebuilds g with FromFrozen from copies of its CSR arrays, the
+// way the binary reader does.
 func frozenTwin(t *testing.T, g *Hypergraph) *Hypergraph {
 	t.Helper()
 	c := g.Freeze()
@@ -25,8 +27,8 @@ func frozenTwin(t *testing.T, g *Hypergraph) *Hypergraph {
 }
 
 // compareGraphs checks that every accessor of a and b agrees, including the
-// interned dictionaries their Freeze views expose (signature digests depend
-// on those being identical).
+// interned dictionaries their Freeze views expose (the binary writer's
+// bytes depend on those being identical).
 func compareGraphs(t *testing.T, ctx string, a, b *Hypergraph) {
 	t.Helper()
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
@@ -72,17 +74,14 @@ func compareGraphs(t *testing.T, ctx string, a, b *Hypergraph) {
 }
 
 // TestFrozenFirstMatchesMapsBuilt checks that a FromFrozen graph is
-// indistinguishable from its maps-built original through every accessor —
-// without ever thawing (reads and Freeze on the twin must not build a CSR).
+// indistinguishable from its maps-built original through every accessor,
+// and that reads and Freeze on the twin never build a CSR.
 func TestFrozenFirstMatchesMapsBuilt(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		g := genGraph(seed)
 		tw := frozenTwin(t, g)
 		before := FreezeBuilds()
 		compareGraphs(t, fmt.Sprintf("seed %d", seed), g, tw)
-		if !tw.lazy.Load() {
-			t.Fatalf("seed %d: read-only accessors thawed the twin", seed)
-		}
 		// compareGraphs froze only g-side views that were already memoized;
 		// the twin side must not have rebuilt anything.
 		if d := FreezeBuilds() - before; d != 0 {
@@ -92,8 +91,9 @@ func TestFrozenFirstMatchesMapsBuilt(t *testing.T) {
 }
 
 // TestThawOnMutate applies identical mutation scripts to a maps-built graph
-// and its frozen-first twin: the first mutation must thaw the twin, and the
-// two must stay convergent after every step.
+// and its FromFrozen twin: the two must stay convergent after every step,
+// so no mutation writes through the decoded arrays the twin's lists and
+// CSR share.
 func TestThawOnMutate(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		g := genGraph(seed)
@@ -128,51 +128,97 @@ func TestThawOnMutate(t *testing.T) {
 					tw.SetEdgeLabel(e, l)
 				}
 			}
-			if tw.lazy.Load() && step == 0 && g.NumEdges() > 0 {
-				// op 3 on an edgeless graph is the only no-op path
-				t.Fatalf("seed %d: first mutation did not thaw", seed)
-			}
 			compareGraphs(t, fmt.Sprintf("seed %d step %d", seed, step), g, tw)
-		}
-		if tw.lazy.Load() {
-			t.Fatalf("seed %d: twin still lazy after mutation script", seed)
 		}
 	}
 }
 
-// TestLazyCloneIndependent checks that the O(1) clone of a frozen-first
-// graph shares storage safely: mutating either copy leaves the other as it
-// was.
-func TestLazyCloneIndependent(t *testing.T) {
-	g := genGraph(42)
-	tw := frozenTwin(t, g)
-	cl := tw.Clone()
-	if !cl.lazy.Load() {
-		t.Fatal("clone of a lazy graph should stay lazy")
+// cloneSource builds a small graph through AddEdge whose incidence lists
+// for nodes 0 and 1 have spare capacity (three entries, capacity four), so
+// a clone that shared them uncapped would let both copies append into the
+// same slots.
+func cloneSource(t *testing.T) *Hypergraph {
+	t.Helper()
+	g := NewLabeled([]Label{1, 2, 3, 4})
+	g.AddEdge(5, 0, 1)
+	g.AddEdge(6, 0, 1, 2)
+	g.AddEdge(7, 0, 1, 3)
+	g.AddEdge(8, 2, 3)
+	if inc := g.IncidentEdges(0); cap(inc) == len(inc) {
+		t.Fatal("source incidence list has no spare capacity")
 	}
-	want := tw.String()
-	cl.AddEdge(Label(99), 0)
-	cl.SetNodeLabel(0, 77)
-	if tw.String() != want {
-		t.Fatalf("mutating clone changed original:\n  was %s\n  now %s", want, tw)
+	return g
+}
+
+// copyCSR returns a deep copy of c.
+func copyCSR(c *CSR) *CSR {
+	return &CSR{
+		nodeOff: slices.Clone(c.nodeOff), nodeEdges: slices.Clone(c.nodeEdges),
+		edgeOff: slices.Clone(c.edgeOff), edgeNodes: slices.Clone(c.edgeNodes),
+		nodeLab: slices.Clone(c.nodeLab), edgeLab: slices.Clone(c.edgeLab),
+		labels: slices.Clone(c.labels), labelID: maps.Clone(c.labelID),
 	}
-	if err := tw.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// TestCloneIndependent applies every mutator to a clone and then to its
+// source, for a source built through AddEdge and one built by FromFrozen.
+// Each mutation must leave the other copy's Freeze view byte-identical,
+// and its lists must still rebuild to that view. The two sides use
+// different labels and add their two hyperedges in opposite orders, so a
+// write into shared storage shows as a changed value.
+func TestCloneIndependent(t *testing.T) {
+	mutators := []struct {
+		name string
+		op   func(g *Hypergraph, side Label)
+	}{
+		{"AddNode", func(g *Hypergraph, side Label) { g.AddNode(60 + side) }},
+		{"AddEdge", func(g *Hypergraph, side Label) {
+			first, second := NodeID(1-side), NodeID(side)
+			g.AddEdge(70+side, first)
+			g.AddEdge(70+side, second)
+		}},
+		{"RemoveEdge", func(g *Hypergraph, side Label) { g.RemoveEdge(EdgeID(1 + side)) }},
+		{"RemoveNode", func(g *Hypergraph, side Label) { g.RemoveNode(NodeID(2 + side)) }},
+		{"SetNodeLabel", func(g *Hypergraph, side Label) { g.SetNodeLabel(0, 80+side) }},
+		{"SetEdgeLabel", func(g *Hypergraph, side Label) { g.SetEdgeLabel(0, 90+side) }},
 	}
-	if err := cl.Validate(); err != nil {
-		t.Fatal(err)
+	sources := []struct {
+		name string
+		make func() *Hypergraph
+	}{
+		{"AddEdge", func() *Hypergraph { return cloneSource(t) }},
+		{"FromFrozen", func() *Hypergraph { return frozenTwin(t, cloneSource(t)) }},
 	}
-	want = cl.String()
-	tw.AddNode(5)
-	if cl.String() != want {
-		t.Fatal("mutating original changed clone")
+	// mutate applies op to g and fails unless other is unchanged.
+	mutate := func(ctx string, g, other *Hypergraph, op func(*Hypergraph, Label), side Label) {
+		t.Helper()
+		frozen, lists := copyCSR(other.Freeze()), other.buildCSR()
+		op(g, side)
+		requireCSRIdentical(t, other.Freeze(), frozen)
+		requireCSRIdentical(t, other.buildCSR(), lists)
+		if err := other.Validate(); err != nil {
+			t.Fatalf("%s: other copy invalid: %v", ctx, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: mutated copy invalid: %v", ctx, err)
+		}
+	}
+	for _, src := range sources {
+		for _, m := range mutators {
+			g := src.make()
+			g.Freeze()
+			cl := g.Clone()
+			ctx := src.name + " source, " + m.name
+			mutate(ctx+" on the clone", cl, g, m.op, 0)
+			mutate(ctx+" on the source", g, cl, m.op, 1)
+		}
 	}
 }
 
 // TestFromFrozenNormalizesDictionary feeds FromFrozen a dictionary with
 // shuffled, duplicate and unused entries; the result must intern identically
-// to a maps-built equivalent, since digests and snapshots depend on the
-// first-seen canonical order.
+// to a maps-built equivalent, since the binary writer's bytes depend on
+// the first-seen canonical order.
 func TestFromFrozenNormalizesDictionary(t *testing.T) {
 	// Nodes labeled [7, 3, 7], one edge {0,1} labeled 9, via a messy dict:
 	// entries [99 (unused), 3, 7, 9, 7 (duplicate)].

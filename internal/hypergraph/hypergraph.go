@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a node within a hypergraph. IDs are dense: a hypergraph
@@ -47,13 +46,6 @@ func (e Hyperedge) Arity() int { return len(e.Nodes) }
 func (e Hyperedge) Contains(v NodeID) bool {
 	i := sort.Search(len(e.Nodes), func(i int) bool { return e.Nodes[i] >= v })
 	return i < len(e.Nodes) && e.Nodes[i] == v
-}
-
-// clone returns a deep copy of the hyperedge.
-func (e Hyperedge) clone() Hyperedge {
-	nodes := make([]NodeID, len(e.Nodes))
-	copy(nodes, e.Nodes)
-	return Hyperedge{Label: e.Label, Nodes: nodes}
 }
 
 // Key returns a canonical string key for the node set (ignoring the label),
@@ -94,18 +86,10 @@ type Hypergraph struct {
 	origIDs []NodeID
 	// egoMu guards the derived read-only views below: the memoized ego
 	// networks and the frozen CSR layout. Both are invalidated by every
-	// mutation and never copied by Clone.
+	// mutation; Clone shares the CSR but never the ego cache.
 	egoMu    sync.RWMutex
 	egoCache map[NodeID]*Hypergraph
 	csr      *CSR
-	// lazy marks a graph constructed frozen-first (FromFrozen): csr is the
-	// authoritative representation and nodeLabels/edges/incidence are nil
-	// until the first mutation thaws them. The flag flips true→false exactly
-	// once, under egoMu, after the mutable fields are materialized; readers
-	// load it with acquire semantics so a false observation implies the
-	// materialized fields are visible. As everywhere in this type, mutation
-	// concurrent with reads requires external exclusivity.
-	lazy atomic.Bool
 }
 
 // New returns an empty hypergraph with n unlabeled nodes.
@@ -126,17 +110,11 @@ func NewLabeled(labels []Label) *Hypergraph {
 
 // NumNodes returns |V|.
 func (h *Hypergraph) NumNodes() int {
-	if c := h.lazyCSR(); c != nil {
-		return c.NumNodes()
-	}
 	return len(h.nodeLabels)
 }
 
 // NumEdges returns |E|.
 func (h *Hypergraph) NumEdges() int {
-	if c := h.lazyCSR(); c != nil {
-		return c.NumEdges()
-	}
 	return len(h.edges)
 }
 
@@ -197,9 +175,6 @@ func dedupSorted(ns []NodeID) []NodeID {
 
 // NodeLabel returns l(v).
 func (h *Hypergraph) NodeLabel(v NodeID) Label {
-	if c := h.lazyCSR(); c != nil {
-		return c.labels[c.nodeLab[v]]
-	}
 	return h.nodeLabels[v]
 }
 
@@ -211,9 +186,6 @@ func (h *Hypergraph) SetNodeLabel(v NodeID, l Label) {
 
 // EdgeLabel returns l(E).
 func (h *Hypergraph) EdgeLabel(e EdgeID) Label {
-	if c := h.lazyCSR(); c != nil {
-		return c.labels[c.edgeLab[e]]
-	}
 	return h.edges[e].Label
 }
 
@@ -226,37 +198,22 @@ func (h *Hypergraph) SetEdgeLabel(e EdgeID, l Label) {
 // Edge returns the hyperedge with id e. The returned value shares its node
 // slice with the hypergraph; callers must not mutate it.
 func (h *Hypergraph) Edge(e EdgeID) Hyperedge {
-	if c := h.lazyCSR(); c != nil {
-		a, b := c.edgeOff[e], c.edgeOff[e+1]
-		return Hyperedge{Label: c.labels[c.edgeLab[e]], Nodes: c.edgeNodes[a:b:b]}
-	}
 	return h.edges[e]
 }
 
 // Edges returns all hyperedges. The slice and the contained node lists are
-// shared with the hypergraph; callers must not mutate them. On a
-// frozen-first graph this materializes the mutable representation.
-func (h *Hypergraph) Edges() []Hyperedge {
-	h.thaw()
-	return h.edges
-}
+// shared with the hypergraph; callers must not mutate them.
+func (h *Hypergraph) Edges() []Hyperedge { return h.edges }
 
 // IncidentEdges returns the ids of hyperedges containing v. The returned
 // slice is shared with the hypergraph; callers must not mutate it.
 func (h *Hypergraph) IncidentEdges(v NodeID) []EdgeID {
-	if c := h.lazyCSR(); c != nil {
-		a, b := c.nodeOff[v], c.nodeOff[v+1]
-		return c.nodeEdges[a:b:b]
-	}
 	return h.incidence[v]
 }
 
 // Degree returns DEG(v) = |{E : v ∈ E}|, the number of hyperedges containing
 // v.
 func (h *Hypergraph) Degree(v NodeID) int {
-	if c := h.lazyCSR(); c != nil {
-		return c.Degree(v)
-	}
 	return len(h.incidence[v])
 }
 
@@ -419,15 +376,8 @@ func (h *Hypergraph) Ego(v NodeID) *Hypergraph {
 
 // invalidateDerived discards the derived read-only views — memoized egos
 // and the frozen CSR — on any mutation; both rebuild lazily on next use.
-// A frozen-first graph thaws here: every mutator calls invalidateDerived
-// before touching the mutable fields, so materializing under the same lock
-// acquisition makes "first mutation" the exact thaw point.
 func (h *Hypergraph) invalidateDerived() {
 	h.egoMu.Lock()
-	if h.lazy.Load() {
-		h.materializeLocked()
-		h.lazy.Store(false)
-	}
 	if len(h.egoCache) > 0 {
 		clear(h.egoCache)
 	}
@@ -435,47 +385,34 @@ func (h *Hypergraph) invalidateDerived() {
 	h.egoMu.Unlock()
 }
 
-// Clone returns a deep copy of the hypergraph. Cloning a graph with a
-// current CSR view (frozen-first, or frozen and unmutated since) is O(1):
-// the clone shares the immutable CSR and starts lazy; either instance
-// materializes its own mutable representation on first mutation
-// (capacity-capped subslices make appends reallocate, removals reallocate
-// changed lists), so the copies stay independent under the package's
-// mutation API.
+// Clone returns a copy of the hypergraph that is independent under the
+// mutation API. The clone owns its label array and its hyperedge and
+// incidence headers; the member and incidence lists themselves are shared,
+// capacity-capped so an append reallocates, and every mutator reallocates
+// a list it changes rather than editing it in place. A current CSR view is
+// shared too, so freezing an unmutated clone builds nothing. Cost is
+// O(|V|+|E|) header copies.
 func (h *Hypergraph) Clone() *Hypergraph {
-	if frozen := h.frozen(); frozen != nil {
-		c := &Hypergraph{csr: frozen}
-		if h.origIDs != nil {
-			c.origIDs = append([]NodeID(nil), h.origIDs...)
-		}
-		c.lazy.Store(true)
-		return c
-	}
 	c := &Hypergraph{
-		nodeLabels: append([]Label(nil), h.nodeLabels...),
+		nodeLabels: slices.Clone(h.nodeLabels),
 		edges:      make([]Hyperedge, len(h.edges)),
 		incidence:  make([][]EdgeID, len(h.incidence)),
+		origIDs:    slices.Clone(h.origIDs),
+		csr:        h.frozen(),
 	}
 	for i, e := range h.edges {
-		c.edges[i] = e.clone()
+		c.edges[i] = Hyperedge{Label: e.Label, Nodes: e.Nodes[:len(e.Nodes):len(e.Nodes)]}
 	}
-	for i, inc := range h.incidence {
-		c.incidence[i] = append([]EdgeID(nil), inc...)
-	}
-	if h.origIDs != nil {
-		c.origIDs = append([]NodeID(nil), h.origIDs...)
+	for v, inc := range h.incidence {
+		c.incidence[v] = inc[:len(inc):len(inc)]
 	}
 	return c
 }
 
 // Validate checks structural invariants: hyperedge node lists sorted, unique
 // and in range, and incidence lists consistent with edges. It returns the
-// first violation found, or nil. A frozen-first graph is checked directly on
-// its CSR arrays without thawing.
+// first violation found, or nil.
 func (h *Hypergraph) Validate() error {
-	if c := h.lazyCSR(); c != nil {
-		return h.validateFrozen(c)
-	}
 	n := len(h.nodeLabels)
 	if len(h.incidence) != n {
 		return fmt.Errorf("hypergraph: incidence length %d != node count %d", len(h.incidence), n)

@@ -8,10 +8,10 @@ import "fmt"
 // freezing a from-scratch construction over the surviving hyperedges in
 // order. Incident-edge lists stay ascending (all ids shift uniformly).
 //
-// Lists that change are reallocated rather than edited in place: on a thawed
-// frozen-first graph the incidence lists alias CSR arrays that may still
-// back a lazy Clone (an older MVCC generation), and those must never be
-// written through.
+// Lists that change are reallocated rather than edited in place: a graph's
+// incidence lists may be shared with a Clone (an older MVCC generation) or
+// alias the CSR arrays FromFrozen decoded, and those must never be written
+// through.
 func (h *Hypergraph) RemoveEdge(e EdgeID) {
 	if int(e) < 0 || int(e) >= h.NumEdges() {
 		panic(fmt.Sprintf("hypergraph: RemoveEdge id %d out of range [0,%d)", e, h.NumEdges()))

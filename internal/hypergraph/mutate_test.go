@@ -150,16 +150,15 @@ func TestRemoveNodePanicsOutOfRange(t *testing.T) {
 }
 
 // TestRemoveDoesNotCorruptSharedCSR is the aliasing regression test for
-// copy-on-write removal: a thawed frozen-first graph's lists alias the CSR
-// arrays that still back a lazy clone, and removal must never write through
-// them.
+// copy-on-write removal: clones share their member and incidence lists and
+// the CSR, and removal in one must never write through them.
 func TestRemoveDoesNotCorruptSharedCSR(t *testing.T) {
 	base := Fig1()
 	frozen := base.Freeze()
-	lazyClone := base.Clone() // shares frozen
-	mut := base.Clone()       // shares frozen too; we mutate this one
-	wantNodes := append([]NodeID(nil), lazyClone.Edge(2).Nodes...)
-	wantInc := append([]EdgeID(nil), lazyClone.IncidentEdges(wantNodes[0])...)
+	sibling := base.Clone() // shares frozen
+	mut := base.Clone()     // shares frozen too; we mutate this one
+	wantNodes := append([]NodeID(nil), sibling.Edge(2).Nodes...)
+	wantInc := append([]EdgeID(nil), sibling.IncidentEdges(wantNodes[0])...)
 
 	mut.RemoveEdge(0)
 	mut.RemoveNode(1)
@@ -170,11 +169,11 @@ func TestRemoveDoesNotCorruptSharedCSR(t *testing.T) {
 	if got := frozen.Members(2); !reflect.DeepEqual([]NodeID(got), wantNodes) {
 		t.Fatalf("shared CSR edge 2 members corrupted: %v, want %v", got, wantNodes)
 	}
-	if got := lazyClone.IncidentEdges(wantNodes[0]); !reflect.DeepEqual([]EdgeID(got), wantInc) {
-		t.Fatalf("lazy clone incidence corrupted: %v, want %v", got, wantInc)
+	if got := sibling.IncidentEdges(wantNodes[0]); !reflect.DeepEqual([]EdgeID(got), wantInc) {
+		t.Fatalf("sibling incidence corrupted: %v, want %v", got, wantInc)
 	}
-	if err := lazyClone.Validate(); err != nil {
-		t.Fatalf("lazy clone corrupted by sibling removal: %v", err)
+	if err := sibling.Validate(); err != nil {
+		t.Fatalf("sibling corrupted by clone removal: %v", err)
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("base corrupted by clone removal: %v", err)
@@ -243,8 +242,8 @@ func applyOp(g *Hypergraph, op mutationOp) {
 }
 
 // TestMutationDifferentialWithRemovals drives one graph through random
-// scripts with a Freeze after every step (maximal thaw/refreeze churn,
-// including removals on thawed CSR-aliased lists) and a twin through the
+// scripts with a Freeze after every step (maximal invalidate/refreeze
+// churn) and a twin through the
 // same script with no intermediate freezes; the final frozen views must be
 // byte-identical.
 func TestMutationDifferentialWithRemovals(t *testing.T) {

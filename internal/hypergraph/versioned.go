@@ -123,9 +123,10 @@ type Batch struct {
 	done    bool
 }
 
-// Begin opens a mutation batch against the current generation. The clone is
-// O(1): the base generation is frozen, so the writer starts from a lazy
-// CSR-backed copy and pays materialization only for what it touches.
+// Begin opens a mutation batch against the current generation. The working
+// graph is a Clone of the base: O(|V|+|E|) header copies, with the member
+// and incidence lists and the base's CSR shared until a mutation replaces
+// them.
 func (v *Versioned) Begin() *Batch {
 	v.writeMu.Lock()
 	base := v.cur.Load()

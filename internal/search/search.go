@@ -329,6 +329,21 @@ func (ix *Index) Len() int { return len(ix.graphs) }
 // Graph returns corpus member i.
 func (ix *Index) Graph(i int) *hypergraph.Hypergraph { return ix.graphs[i] }
 
+// Equal reports whether ix and o hold the same signature table, column by
+// column (a nil and an empty column are equal). Signatures are pure
+// functions of the graphs, so an index over a corpus equals Build over
+// equal graphs however it was made; graph identity and the MaxExpansions
+// and Parallelism settings are not compared.
+func (ix *Index) Equal(o *Index) bool {
+	a, b := &ix.sigs, &o.sigs
+	return slices.Equal(a.n, b.n) && slices.Equal(a.m, b.m) && slices.Equal(a.incid, b.incid) &&
+		slices.Equal(a.cardOff, b.cardOff) && slices.Equal(a.cards, b.cards) &&
+		slices.Equal(a.nodeOff, b.nodeOff) && slices.Equal(a.nodeLabels, b.nodeLabels) &&
+		slices.Equal(a.nodeCounts, b.nodeCounts) &&
+		slices.Equal(a.edgeOff, b.edgeOff) && slices.Equal(a.edgeLabels, b.edgeLabels) &&
+		slices.Equal(a.edgeCounts, b.edgeCounts)
+}
+
 // Match is one search result.
 type Match struct {
 	ID       int

@@ -170,3 +170,28 @@ func TestIndexAccessors(t *testing.T) {
 		t.Fatal("Graph accessor broken")
 	}
 }
+
+// TestIndexEqual: indexes over equal corpora are Equal however they were
+// made; a different corpus size, or a same-sized graph with other labels
+// or arities, is not.
+func TestIndexEqual(t *testing.T) {
+	graphs := corpus(6, 5)
+	ix := Build(graphs)
+	if !ix.Equal(Build(append([]*hypergraph.Hypergraph(nil), graphs...))) || !ix.Equal(ix.Splice(2, 1, graphs[2])) {
+		t.Fatal("indexes over the same corpus are not Equal")
+	}
+	if ix.Equal(Build(graphs[:5])) || Build(nil).Equal(ix) {
+		t.Fatal("indexes over corpora of different sizes are Equal")
+	}
+	a := hypergraph.NewLabeled([]hypergraph.Label{1, 1, 2})
+	a.AddEdge(2, 0, 1)
+	relabeled := hypergraph.NewLabeled([]hypergraph.Label{1, 3, 2})
+	relabeled.AddEdge(2, 0, 1)
+	rewired := hypergraph.NewLabeled([]hypergraph.Label{1, 1, 2})
+	rewired.AddEdge(2, 0, 1, 2)
+	for _, b := range []*hypergraph.Hypergraph{relabeled, rewired} {
+		if Build([]*hypergraph.Hypergraph{a}).Equal(Build([]*hypergraph.Hypergraph{b})) {
+			t.Fatalf("%v and %v index Equal", a, b)
+		}
+	}
+}

@@ -9,50 +9,26 @@ import (
 	"hged/internal/hypergraph"
 )
 
-// sameTable reports whether two snapshots hold the same bytes column by
-// column; a nil and an empty column are the same bytes.
-func sameTable(a, b *Snapshot) bool {
-	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		fa, fb := va.Field(i), vb.Field(i)
-		if fa.Len() != fb.Len() {
-			return false
-		}
-		if fa.Len() > 0 && !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
-			return false
-		}
+// zeroTable overwrites every column of t.
+func zeroTable(t *sigTable) {
+	for _, col := range [][]int32{t.n, t.m, t.incid, t.cardOff, t.cards, t.nodeOff, t.nodeCounts, t.edgeOff, t.edgeCounts} {
+		clear(col)
 	}
-	return true
-}
-
-// deepSnapshot copies every column of ix's table, so later writes through
-// any index cannot change it.
-func deepSnapshot(ix *Index) *Snapshot {
-	s := *ix.Snapshot()
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		cp := reflect.MakeSlice(f.Type(), f.Len(), f.Len())
-		reflect.Copy(cp, f)
-		f.Set(cp)
-	}
-	return &s
+	clear(t.nodeLabels)
+	clear(t.edgeLabels)
 }
 
 // checkAgainstBuild fails unless ix is byte-identical to Build over want:
-// the same graphs in the same order, the same signature table and digests,
-// and the same answers.
+// the same graphs in the same order, the same signature table and the same
+// answers.
 func checkAgainstBuild(t *testing.T, step string, ix *Index, want []*hypergraph.Hypergraph) {
 	t.Helper()
 	full := Build(want)
 	if !slices.Equal(ix.graphs, full.graphs) {
 		t.Fatalf("%s: corpus order differs from the spliced list", step)
 	}
-	if !sameTable(ix.Snapshot(), full.Snapshot()) {
-		t.Fatalf("%s: signature table differs from Build\ngot  %+v\nwant %+v", step, ix.Snapshot(), full.Snapshot())
-	}
-	if !slices.Equal(ix.SignatureDigests(), full.SignatureDigests()) {
-		t.Fatalf("%s: signature digests differ from Build", step)
+	if !ix.Equal(full) {
+		t.Fatalf("%s: signature table differs from Build\ngot  %+v\nwant %+v", step, ix.sigs, full.sigs)
 	}
 	q := gen.Uniform(4, 2, 3, 3, 2, 99)
 	gm, gs, err := ix.Search(q, 3)
@@ -83,7 +59,8 @@ func TestSpliceMatchesBuild(t *testing.T) {
 
 	apply := func(step string, at, del int, gs ...*hypergraph.Hypergraph) {
 		t.Helper()
-		before := deepSnapshot(ix)
+		// A fresh build over the same graphs shares no memory with ix.
+		before := Build(slices.Clone(ix.graphs))
 		var rows *Index // deletions pass no rows
 		if len(gs) > 0 {
 			rows = Build(gs)
@@ -91,7 +68,7 @@ func TestSpliceMatchesBuild(t *testing.T) {
 		next := ix.SpliceInto(spare, at, del, rows)
 		list = slices.Concat(list[:at], gs, list[at+del:])
 		checkAgainstBuild(t, step, next, list)
-		if !sameTable(ix.Snapshot(), before) {
+		if !ix.Equal(before) || !slices.Equal(ix.graphs, before.graphs) {
 			t.Fatalf("%s: splicing changed the receiver", step)
 		}
 		spare, ix = ix, next
@@ -128,18 +105,9 @@ func TestSpliceSharesNoMemory(t *testing.T) {
 	prev := ix.Splice(2, 1, graphs[5])
 	row := Build(graphs[:1])
 	for _, next := range []*Index{ix.Splice(4, 1, graphs[0]), ix.SpliceInto(prev, 4, 1, row), ix.SpliceInto(ix, 4, 1, row)} {
-		s := next.Snapshot()
-		v := reflect.ValueOf(s).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			for j := 0; j < f.Len(); j++ {
-				f.Index(j).Set(reflect.Zero(f.Type().Elem()))
-			}
-		}
-		for i := range next.graphs {
-			next.graphs[i] = nil
-		}
-		if !sameTable(ix.Snapshot(), Build(graphs).Snapshot()) || !slices.Equal(ix.graphs, graphs) {
+		zeroTable(&next.sigs)
+		clear(next.graphs)
+		if !ix.Equal(Build(graphs)) || !slices.Equal(ix.graphs, graphs) {
 			t.Fatal("writing a splice result changed the receiver")
 		}
 	}
@@ -159,9 +127,8 @@ func TestSpliceIntoReusesSpare(t *testing.T) {
 	// An index Build made does not own its memory (its graph list is the
 	// caller's slice), so it is never written into.
 	built := Build(slices.Clone(graphs))
-	before := deepSnapshot(built)
 	ix.SpliceInto(built, 7, 1, Build(graphs[7:8]))
-	if !sameTable(built.Snapshot(), before) || !slices.Equal(built.graphs, graphs) {
+	if !built.Equal(Build(graphs)) || !slices.Equal(built.graphs, graphs) {
 		t.Fatal("SpliceInto wrote into a spare Build made")
 	}
 }

@@ -260,9 +260,9 @@ func (r *Registry) Add(name string, g *hged.Hypergraph, source string) (*GraphEn
 }
 
 // restore installs a whole corpus into an empty registry in one write:
-// one entry per name over ix.Graph(i), with ix published as the search
-// index as it is — no signature is computed. names must be valid, unique
-// and ascending, with ix's rows in the same order.
+// one entry per name over ix.Graph(i), with ix — already built over those
+// graphs — published as the search index as it is. names must be valid,
+// unique and ascending, with ix's rows in the same order.
 func (r *Registry) restore(names []string, ix *hged.SearchIndex, source string) error {
 	entries := make([]*GraphEntry, len(names))
 	for i, name := range names {

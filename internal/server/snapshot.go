@@ -10,10 +10,10 @@ import (
 	"hged"
 )
 
-// LoadCorpusSnapshot cold-starts the server from a combined corpus+index
-// snapshot (.hgx): every graph is installed in the registry straight from
-// its frozen CSR form and the search index is adopted without recomputing a
-// signature. want, when non-nil, is the set of graph names the caller
+// LoadCorpusSnapshot cold-starts the server from a corpus snapshot (.hgx):
+// every graph is installed in the registry as decoded, its CSR view already
+// built, and the search index the reader built over those graphs is
+// published as it is. want, when non-nil, is the set of graph names the caller
 // intended to load (sorted or not — it is sorted here); a snapshot covering
 // a different corpus is refused so a stale file can never shadow the
 // operator's -load flags.
@@ -51,8 +51,8 @@ func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []str
 			return fmt.Errorf("corpus snapshot: %w", err)
 		}
 	}
-	// One registry write installs every entry and adopts the snapshot's
-	// index as the published one: no signature is computed, no row spliced.
+	// One registry write installs every entry and publishes the reader's
+	// index: no row is recomputed or spliced.
 	if err := s.reg.restore(names, ix, "snapshot:"+path); err != nil {
 		return fmt.Errorf("corpus snapshot: %w", err)
 	}
@@ -62,8 +62,8 @@ func (s *Server) LoadCorpusSnapshot(ctx context.Context, path string, want []str
 	return nil
 }
 
-// SaveCorpusSnapshot persists the published corpus version — graphs and
-// search index — as a combined snapshot at path. It also records the corpus as
+// SaveCorpusSnapshot persists the published corpus version's names and
+// graphs as a snapshot at path. It also records the corpus as
 // "rebuilt" in the /metrics snapshot section — by construction it is only
 // reached when LoadCorpusSnapshot did not serve the cold start.
 func (s *Server) SaveCorpusSnapshot(ctx context.Context, path string) error {
