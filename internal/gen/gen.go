@@ -235,6 +235,19 @@ func Uniform(n, m, maxSize, nodeLabels, edgeLabels int, seed int64) *hypergraph.
 	return g
 }
 
+// ChurnCorpus returns 256 small uniform graphs (3–5 nodes, 1–3 hyperedges
+// of up to 3 members, 3 node labels, 2 edge labels), drawn from a fixed
+// seed: the corpus shape of hgeddbench's corpus-churn workload, where many
+// HGEDs tie. The search tests and cmd/bench both build it here.
+func ChurnCorpus() []*hypergraph.Hypergraph {
+	rng := rand.New(rand.NewSource(256))
+	graphs := make([]*hypergraph.Hypergraph, 256)
+	for i := range graphs {
+		graphs[i] = Uniform(3+rng.Intn(3), 1+rng.Intn(3), 3, 3, 2, rng.Int63()+1)
+	}
+	return graphs
+}
+
 func maxInts(a, b int) int {
 	if a > b {
 		return a

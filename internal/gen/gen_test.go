@@ -118,6 +118,24 @@ func TestUniform(t *testing.T) {
 	}
 }
 
+func TestChurnCorpus(t *testing.T) {
+	graphs, again := ChurnCorpus(), ChurnCorpus()
+	if len(graphs) != 256 {
+		t.Fatalf("%d graphs, want 256", len(graphs))
+	}
+	for i, g := range graphs {
+		if n, m := g.NumNodes(), g.NumEdges(); n < 3 || n > 5 || m < 1 || m > 3 {
+			t.Fatalf("graph %d: n=%d m=%d outside 3–5 nodes, 1–3 edges", i, n, m)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !hypergraph.Isomorphic(g, again[i]) {
+			t.Fatalf("graph %d differs between calls", i)
+		}
+	}
+}
+
 func TestSubsampleFractions(t *testing.T) {
 	g := Uniform(200, 400, 4, 3, 2, 11)
 	sub := Subsample(g, 0.5, 1.0, 13)
