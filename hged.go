@@ -124,8 +124,9 @@ const (
 // Distance computes the exact hypergraph edit distance HGED(g, h).
 func Distance(g, h *Hypergraph) int { return core.Distance(g, h) }
 
-// DistanceWithin verifies HGED(g, h) ≤ tau, returning the exact distance
-// and true when within.
+// DistanceWithin verifies HGED(g, h) ≤ tau, returning the distance (an upper
+// bound when the default expansion cap cuts the search short) and true when
+// within.
 func DistanceWithin(g, h *Hypergraph, tau int) (int, bool) { return core.DistanceWithin(g, h, tau) }
 
 // DistanceWithPath computes HGED(g, h) and an optimal edit path.
@@ -198,8 +199,9 @@ func NewPredictor(g *Hypergraph, opts PredictOptions) (*Predictor, error) {
 	return predict.New(g, opts)
 }
 
-// VerifyHyperedge checks Definition 4 exactly: whether s is a
-// (λ,τ)-hyperedge of g.
+// VerifyHyperedge checks Definition 4: whether s is a (λ,τ)-hyperedge of
+// g. A pair whose search the default expansion cap cuts short is within
+// only if its upper bound is.
 func VerifyHyperedge(g *Hypergraph, s []NodeID, lambda, tau int) bool {
 	return predict.Verify(g, s, lambda, tau)
 }

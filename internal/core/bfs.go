@@ -21,8 +21,8 @@ import (
 // all node levels precede all edge levels, so edge-mapping costs are exact
 // when incurred. The suffix bounds are consistent (each assignment's cost
 // dominates the bound decrease), so the first complete mapping popped is
-// optimal. The search is exact; when a threshold τ > 0 is set it may stop
-// early with Exceeded=true once HGED > τ is proven.
+// optimal. The search is exact; with a threshold τ (see Solver.Within) it
+// may stop early with Exceeded=true once HGED > τ is proven.
 //
 // Label multisets are tracked as dense arrays over the pair's label
 // dictionary, so per-state bound maintenance is allocation-free: Ψ updates
@@ -278,7 +278,9 @@ func interSize(a, b []int32) int {
 	return n
 }
 
-func (s *bfsSearch) run(opts Options) Result {
+// run searches the prepared pair at threshold tau (see Solver.Within).
+func (s *bfsSearch) run(opts Options, tau int) Result {
+	tau = min(tau, unbounded) // tau+1 must not overflow
 	p := s.p
 	N, M := s.N, s.M
 	total := N + M
@@ -291,8 +293,8 @@ func (s *bfsSearch) run(opts Options) Result {
 	if s.useLB {
 		rootLB = p.rootLowerBound()
 	}
-	if !opts.unbounded() && rootLB > opts.Threshold {
-		return Result{Distance: opts.Threshold + 1, Exceeded: true, Exact: true}
+	if rootLB > tau {
+		return Result{Distance: tau + 1, Exceeded: true, Exact: true}
 	}
 
 	// Strategy 2: initial incumbent.
@@ -302,8 +304,8 @@ func (s *bfsSearch) run(opts Options) Result {
 		incumbent, incumbentMap = p.upperBound(opts.samples(), opts.seed())
 	}
 	bound := incumbent
-	if !opts.unbounded() && opts.Threshold+1 < bound {
-		bound = opts.Threshold + 1
+	if tau+1 < bound {
+		bound = tau + 1
 	}
 
 	if rootLB < bound {
@@ -360,9 +362,9 @@ func (s *bfsSearch) run(opts Options) Result {
 			res.Path = p.extractPath(incumbentMap)
 		}
 	}
-	if !opts.unbounded() && res.Distance > opts.Threshold {
+	if res.Distance > tau {
 		res.Exceeded = true
-		res.Distance = opts.Threshold + 1 // proven lower bound
+		res.Distance = tau + 1 // proven lower bound
 		res.Path = nil
 	}
 	return res

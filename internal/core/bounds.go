@@ -14,11 +14,7 @@ import (
 // charge disjoint cost families (labels+insertions vs. incidences), so their
 // sum is admissible.
 func LowerBound(g, h *hypergraph.Hypergraph) int {
-	return lowerBoundData(compile(g), compile(h))
-}
-
-func lowerBoundData(s, t *graphData) int {
-	return lowerBoundDataModel(s, t, UnitCosts())
+	return lowerBoundDataModel(compile(g), compile(h), UnitCosts())
 }
 
 // lowerBoundDataModel is the Strategy-3 bound under a cost model: of the Ψ

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -237,6 +238,9 @@ func TestDistanceWithin(t *testing.T) {
 	}
 	if _, ok := DistanceWithin(g, h, -1); ok {
 		t.Fatal("negative threshold must fail")
+	}
+	if d, ok := DistanceWithin(g, h, math.MaxInt); !ok || d != 6 {
+		t.Fatalf("within MaxInt: d=%d ok=%v, want 6,true", d, ok)
 	}
 }
 

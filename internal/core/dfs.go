@@ -18,10 +18,7 @@ func DFS(g, h *hypergraph.Hypergraph, opts Options) Result {
 	N := p.paddedN
 
 	best := 1 << 30
-	bound := best
-	if !opts.unbounded() {
-		bound = opts.Threshold + 1 // search only for completions ≤ τ
-	}
+	bound := opts.tau() + 1 // search only for completions ≤ τ
 	var bestMapping *Mapping
 	budget := opts.maxExpansions()
 	var expanded int64
@@ -29,13 +26,6 @@ func DFS(g, h *hypergraph.Hypergraph, opts Options) Result {
 
 	nodeMap := make([]int, N)
 	usedTgt := make([]bool, N)
-
-	limit := func() int {
-		if best < bound {
-			return best
-		}
-		return bound
-	}
 
 	var rec func(level, accNode int)
 	rec = func(level, accNode int) {
@@ -47,11 +37,11 @@ func DFS(g, h *hypergraph.Hypergraph, opts Options) Result {
 			capped = true
 			return
 		}
-		if accNode >= limit() {
+		if accNode >= min(best, bound) {
 			return
 		}
 		if level == N {
-			edgeBudget := limit() - accNode
+			edgeBudget := min(best, bound) - accNode
 			edgeCost, edgeMap, edgeCapped := p.edgeCostPermutationMapped(nodeMap, edgeBudget, budget-expanded, &expanded, opts)
 			if edgeCapped {
 				capped = true
@@ -87,26 +77,23 @@ func DFS(g, h *hypergraph.Hypergraph, opts Options) Result {
 	if bestMapping != nil {
 		res.Path = p.extractPath(bestMapping)
 	}
-	if !opts.unbounded() && best > opts.Threshold {
+	if best > opts.tau() {
 		res.Exceeded = true
-		res.Distance = opts.Threshold + 1 // proven lower bound when Exact
+		res.Distance = opts.tau() + 1 // proven lower bound when Exact
 	}
 	return res
 }
 
 // edgeCostPermutationMapped is edgeCostPermutation returning the argmin edge
 // mapping as well; it returns (budget, nil) when no mapping beats the
-// budget. The enumeration spends at most maxSteps recursive steps, adding
-// them to *steps; when it runs out (or opts.Context is cancelled) it
-// reports capped=true and returns its best-so-far (which is then only an
-// upper bound). With UseHungarianEDC handled by the caller this remains the
-// Algorithm-2 enumeration.
+// budget, which is ≥ 1. The enumeration spends at most maxSteps recursive
+// steps, adding them to *steps; when it runs out (or opts.Context is
+// cancelled) it reports capped=true and returns its best-so-far (which is
+// then only an upper bound). With UseHungarianEDC handled by the caller
+// this remains the Algorithm-2 enumeration.
 func (p *pair) edgeCostPermutationMapped(nodeMap []int, budget int, maxSteps int64, steps *int64, opts Options) (cost int, perm []int, capped bool) {
 	M := p.paddedM
 	if M == 0 {
-		if budget <= 0 {
-			return budget, nil, false
-		}
 		return 0, []int{}, false
 	}
 	best := budget
@@ -162,10 +149,7 @@ func dfsHungarian(g, h *hypergraph.Hypergraph, opts Options) Result {
 	N := p.paddedN
 
 	best := 1 << 30
-	bound := best
-	if !opts.unbounded() {
-		bound = opts.Threshold + 1
-	}
+	bound := opts.tau() + 1
 	var bestMapping *Mapping
 	budget := opts.maxExpansions()
 	var expanded int64
@@ -184,11 +168,7 @@ func dfsHungarian(g, h *hypergraph.Hypergraph, opts Options) Result {
 			capped = true
 			return
 		}
-		lim := best
-		if bound < lim {
-			lim = bound
-		}
-		if accNode >= lim {
+		if accNode >= min(best, bound) {
 			return
 		}
 		if level == N {
@@ -226,9 +206,9 @@ func dfsHungarian(g, h *hypergraph.Hypergraph, opts Options) Result {
 	if bestMapping != nil {
 		res.Path = p.extractPath(bestMapping)
 	}
-	if !opts.unbounded() && best > opts.Threshold {
+	if best > opts.tau() {
 		res.Exceeded = true
-		res.Distance = opts.Threshold + 1
+		res.Distance = opts.tau() + 1
 	}
 	return res
 }

@@ -38,7 +38,7 @@ func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
 		if accNode >= best {
 			return
 		}
-		if !opts.unbounded() && accNode > opts.Threshold {
+		if accNode > opts.tau() {
 			return
 		}
 		if level == N {
@@ -62,13 +62,10 @@ func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
 	rec(0, 0)
 
 	res := Result{Distance: best, Exact: !capped, Expanded: expanded, Cancelled: capped && opts.ctxCancelled()}
-	if !opts.unbounded() && best > opts.Threshold {
+	if best > opts.tau() {
+		// HEU is a heuristic: exceedance means the heuristic instance
+		// exceeds τ, not a proof that HGED does.
 		res.Exceeded = true
-		if !capped {
-			// Note: HEU is a heuristic; exceedance means the heuristic
-			// instance exceeds τ, not a proof that HGED does.
-			res.Distance = best
-		}
 	}
 	if bestNodeMap != nil {
 		// Provide a concrete path via the optimal hyperedge assignment for

@@ -8,24 +8,15 @@ func Distance(g, h *hypergraph.Hypergraph) int {
 	return BFS(g, h, Options{}).Distance
 }
 
-// DistanceWithin verifies whether HGED(g, h) ≤ tau. It returns the exact
-// distance and true when within the threshold; otherwise (0, false). tau
-// must be ≥ 0.
+// DistanceWithin is Solver.Within on a pooled solver at the default
+// expansion cap. It returns the distance and true when HGED(g, h) ≤ tau —
+// the exact distance, or when the cap cuts the search short an upper
+// bound ≤ tau — and (0, false) otherwise.
 func DistanceWithin(g, h *hypergraph.Hypergraph, tau int) (int, bool) {
-	if tau < 0 {
-		return 0, false
-	}
-	// Threshold 0 would mean "unbounded" to Options; check isomorphism
-	// directly through a τ=1 search instead.
-	opts := Options{Threshold: tau}
-	if tau == 0 {
-		if hypergraph.Isomorphic(g, h) {
-			return 0, true
-		}
-		return 0, false
-	}
-	res := BFS(g, h, opts)
-	if res.Exceeded {
+	sv := AcquireSolver()
+	defer ReleaseSolver(sv)
+	res, ok := sv.Within(g, h, tau, Options{})
+	if !ok {
 		return 0, false
 	}
 	return res.Distance, true

@@ -12,7 +12,8 @@ const NotWithin = -1
 
 // Matrix computes all pairwise HGED values among the given hypergraphs,
 // optionally in parallel. The result is symmetric with a zero diagonal.
-// When opts carries a threshold τ > 0, entries beyond it are NotWithin.
+// When opts carries a threshold τ > 0, entries not within it (Result.Within)
+// are NotWithin, so a capped entry is NotWithin unless its upper bound ≤ τ.
 // workers ≤ 1 runs sequentially; results are identical either way.
 func Matrix(graphs []*hypergraph.Hypergraph, opts Options, workers int) [][]int {
 	n := len(graphs)
@@ -33,7 +34,7 @@ func Matrix(graphs []*hypergraph.Hypergraph, opts Options, workers int) [][]int 
 	run := func(sv *Solver, jb job) {
 		res := sv.BFS(graphs[jb.i], graphs[jb.j], opts)
 		d := res.Distance
-		if res.Exceeded {
+		if opts.Threshold > 0 && !res.Within(opts.Threshold) {
 			d = NotWithin
 		}
 		out[jb.i][jb.j] = d

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hged/internal/gen"
 	"hged/internal/hypergraph"
 )
 
@@ -55,6 +56,34 @@ func TestMatrixThreshold(t *testing.T) {
 	m = Matrix([]*hypergraph.Hypergraph{g, h}, Options{Threshold: 6}, 1)
 	if m[0][1] != 6 {
 		t.Fatalf("expected 6, got %d", m[0][1])
+	}
+}
+
+// TestMatrixCappedEntriesStayWithinTau: under a small expansion cap a BFS
+// returns its incumbent without a proven exceedance; Matrix must write such
+// an entry as NotWithin when it is above τ, as it does a proven one.
+func TestMatrixCappedEntriesStayWithinTau(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	graphs := make([]*hypergraph.Hypergraph, 12)
+	for i := range graphs {
+		graphs[i] = gen.Uniform(6+rng.Intn(4), 3+rng.Intn(4), 3, 3, 2, rng.Int63()+1)
+	}
+	cappedAbove := 0
+	for _, tau := range []int{1, 3, 5} {
+		m := Matrix(graphs, Options{Threshold: tau, MaxExpansions: 2}, 2)
+		for i := range m {
+			for j, d := range m[i] {
+				if d != NotWithin && d > tau {
+					t.Fatalf("τ %d: entry (%d, %d) = %d, want NotWithin or ≤ τ", tau, i, j, d)
+				}
+				if res := BFS(graphs[i], graphs[j], Options{Threshold: tau, MaxExpansions: 2}); i < j && !res.Exact && res.Distance > tau {
+					cappedAbove++
+				}
+			}
+		}
+	}
+	if cappedAbove == 0 {
+		t.Fatal("no capped entry had an incumbent above τ; the test checks nothing")
 	}
 }
 

@@ -77,7 +77,17 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-func (o Options) unbounded() bool { return o.Threshold <= 0 }
+// unbounded is the threshold of a search without one: above every
+// distance, it neither tightens a bound nor proves exceedance.
+const unbounded = 1 << 30
+
+// tau is the solvers' threshold: Threshold, or unbounded when it is ≤ 0.
+func (o Options) tau() int {
+	if o.Threshold <= 0 {
+		return unbounded
+	}
+	return min(o.Threshold, unbounded)
+}
 
 // cancelCheckEvery is the cancellation polling stride: Options.Context is
 // consulted once per this many expansions, keeping the check off the hot
@@ -102,8 +112,10 @@ type Result struct {
 	// Path is the edit path realizing Distance, when one was requested and
 	// a complete mapping was found (nil when Exceeded).
 	Path *Path
-	// Exceeded reports that a threshold was set and HGED is provably
-	// greater than it.
+	// Exceeded reports a result above the threshold τ. HGED-BFS sets it
+	// only on proof of HGED > τ, never for a capped incumbent; HGED-DFS and
+	// HGED-HEU set it for any best result above τ, also when capped (Exact
+	// false). Within tests a result against τ.
 	Exceeded bool
 	// Exact is true when the solver proved optimality (or exceedance);
 	// false when the expansion budget was exhausted first.
@@ -114,4 +126,11 @@ type Result struct {
 	Cancelled bool
 	// Expanded counts search states expanded (search effort).
 	Expanded int64
+}
+
+// Within is the acceptance rule of a thresholded verification: no
+// exceedance, no cancellation, and a Distance — exact, or under an
+// expansion cap an upper bound — of at most tau.
+func (r Result) Within(tau int) bool {
+	return !r.Exceeded && !r.Cancelled && r.Distance <= tau
 }

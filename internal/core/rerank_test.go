@@ -89,11 +89,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.samples() != 3 || o.seed() != 1 {
 		t.Fatal("default samples/seed wrong")
 	}
-	if !o.unbounded() {
+	if o.tau() != unbounded {
 		t.Fatal("zero threshold must mean unbounded")
 	}
 	o.Threshold = 5
-	if o.unbounded() {
+	if o.tau() != 5 {
 		t.Fatal("positive threshold must bound the search")
 	}
 	o.MaxExpansions = 7

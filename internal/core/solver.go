@@ -26,9 +26,19 @@ func NewSolver() *Solver { return new(Solver) }
 // The returned Result does not alias solver memory and remains valid after
 // further solves.
 func (sv *Solver) BFS(g, h *hypergraph.Hypergraph, opts Options) Result {
+	res, _ := sv.Within(g, h, opts.tau(), opts)
+	return res
+}
+
+// Within verifies HGED(g, h) ≤ tau, as the (λ,τ)-hyperedge test and search
+// verification ask, by one HGED-BFS bounded at tau itself (at tau = 0 only
+// f = 0 states are pushed; opts.Threshold is ignored). It reports
+// res.Within(tau): a capped incumbent, an upper bound, counts only if ≤ tau.
+func (sv *Solver) Within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
 	sv.p.init(g, h, opts.costModel())
 	sv.search.init(&sv.p, opts)
-	return sv.search.run(opts)
+	res := sv.search.run(opts, tau)
+	return res, res.Within(tau)
 }
 
 // EDCInaccurate computes the EDC-INAC upper bound for a complete padded node

@@ -114,16 +114,33 @@ func TestBFSRootBoundShortCircuit(t *testing.T) {
 
 // TestDistanceWithinMatchesUnthresholded checks that the thresholded
 // search, short circuit included, agrees with an unthresholded solve on
-// random pairs: within exactly when HGED ≤ τ, and then the exact distance.
+// random pairs, at every τ from 0 to the distance + 2: DistanceWithin and
+// Solver.Within under unit and weighted costs are within exactly when
+// HGED ≤ τ, and then report the exact distance. At an expansion cap of 2
+// Solver.Within may miss, but within always means Distance ≤ τ.
 func TestDistanceWithinMatchesUnthresholded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	weighted := CostModel{Node: 2, Edge: 3, Incidence: 1, NodeRelabel: 2, EdgeRelabel: 4}
+	sv := NewSolver()
 	for i := 0; i < 200; i++ {
 		g, h := randomHypergraph(rng, 5, 4, 3), randomHypergraph(rng, 5, 4, 3)
-		exact := BFS(g, h, Options{}).Distance
-		for tau := 0; tau <= exact+2; tau++ {
-			d, ok := DistanceWithin(g, h, tau)
-			if ok != (exact <= tau) || (ok && d != exact) {
-				t.Fatalf("pair %d τ %d: DistanceWithin = (%d, %v), exact HGED %d", i, tau, d, ok, exact)
+		for _, costs := range []*CostModel{nil, &weighted} {
+			exact := BFS(g, h, Options{Costs: costs}).Distance
+			for tau := 0; tau <= exact+2; tau++ {
+				if costs == nil {
+					d, ok := DistanceWithin(g, h, tau)
+					if ok != (exact <= tau) || (ok && d != exact) {
+						t.Fatalf("pair %d τ %d: DistanceWithin = (%d, %v), exact HGED %d", i, tau, d, ok, exact)
+					}
+				}
+				res, ok := sv.Within(g, h, tau, Options{Costs: costs})
+				if ok != (exact <= tau) || (ok && res.Distance != exact) || ok != res.Within(tau) {
+					t.Fatalf("pair %d costs %v τ %d: Within = (%+v, %v), exact HGED %d", i, costs, tau, res, ok, exact)
+				}
+				res, ok = sv.Within(g, h, tau, Options{Costs: costs, MaxExpansions: 2})
+				if ok && (res.Distance > tau || res.Distance < exact) {
+					t.Fatalf("pair %d costs %v τ %d cap 2: within at distance %d, exact HGED %d", i, costs, tau, res.Distance, exact)
+				}
 			}
 		}
 	}

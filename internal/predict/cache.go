@@ -222,16 +222,12 @@ func (c *pairCache) contextDistance(ctxID int32, sub *hypergraph.Hypergraph, uL,
 }
 
 // solve runs the configured HGED solver with the given threshold and
-// converts the result to a cache entry.
+// converts the result to a cache entry. A result within the budget is
+// cached as the distance; under an expansion cap it is an upper bound,
+// which still certifies "within budget". Any other result, a capped upper
+// bound above the budget included, is conservatively "not within", as the
+// budget-capped paper variants behave.
 func (c *pairCache) solve(eu, ev *hypergraph.Hypergraph, budget int) cacheEntry {
-	// HGED-BFS screens the root with the Strategy-3 bound itself before any
-	// other work (Expanded 0 when it proves exceedance). A budget ≤ 0
-	// would mean "unbounded" to the solver, so that degenerate case keeps
-	// the screen here. HEP-DFS and HEP-HEU stay faithful to the paper's
-	// variants, which have no lower bounds.
-	if c.solver == AlgBFS && budget <= 0 && core.LowerBound(eu, ev) > budget {
-		return cacheEntry{Bound: int32(budget)}
-	}
 	opts := core.Options{Threshold: budget, MaxExpansions: c.maxExp}
 	var res core.Result
 	switch c.solver {
@@ -240,19 +236,15 @@ func (c *pairCache) solve(eu, ev *hypergraph.Hypergraph, budget int) cacheEntry 
 	case AlgHEU:
 		res = core.HEU(eu, ev, opts)
 	default:
-		res = core.BFS(eu, ev, opts)
+		sv := core.AcquireSolver()
+		res, _ = sv.Within(eu, ev, budget, opts)
+		core.ReleaseSolver(sv)
 	}
 	c.mu.Lock()
 	c.expanded += res.Expanded
 	c.mu.Unlock()
-	if res.Exceeded || res.Distance > budget {
-		// A proven exceedance, or — under an expansion cap — only an
-		// upper bound above the budget: conservatively treated as "not
-		// within", as the budget-capped paper variants behave.
+	if !res.Within(budget) {
 		return cacheEntry{Bound: int32(budget)}
 	}
-	// res.Distance ≤ budget: within. Under an expansion cap this is an
-	// upper bound rather than the exact optimum; it still certifies
-	// "within budget".
 	return cacheEntry{Dist: int32(res.Distance), Exact: true}
 }

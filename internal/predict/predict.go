@@ -457,13 +457,19 @@ func (p *Predictor) peel(s []hypergraph.NodeID) []hypergraph.NodeID {
 	return s
 }
 
-// Verify checks Definition 4 exactly for a node set S: every pair of
-// neighbors in the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and
+// Verify checks Definition 4 for a node set S with Solver.Within: every pair
+// of neighbors in the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and
 // every pair of nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run
 // satisfies Verify with the predictor's own λ and τ.
 func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bool {
 	sub := g.InducedSubgraph(s)
 	n := sub.NumNodes()
+	egos := make([]*hypergraph.Hypergraph, n)
+	for i := range egos {
+		egos[i] = sub.Ego(hypergraph.NodeID(i))
+	}
+	sv := core.AcquireSolver()
+	defer core.ReleaseSolver(sv)
 	lambdaTau := lambda * tau
 	for i := 0; i < n; i++ {
 		nbrs := make(map[hypergraph.NodeID]struct{})
@@ -471,12 +477,11 @@ func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bo
 			nbrs[w] = struct{}{}
 		}
 		for j := i + 1; j < n; j++ {
-			u, v := hypergraph.NodeID(i), hypergraph.NodeID(j)
 			budget := lambdaTau
-			if _, isNbr := nbrs[v]; isNbr {
+			if _, isNbr := nbrs[hypergraph.NodeID(j)]; isNbr {
 				budget = tau
 			}
-			if _, ok := core.DistanceWithin(sub.Ego(u), sub.Ego(v), budget); !ok {
+			if _, ok := sv.Within(egos[i], egos[j], budget, core.Options{}); !ok {
 				return false
 			}
 		}

@@ -504,18 +504,12 @@ func (ix *Index) forEach(ctx context.Context, n int, task func(sv *core.Solver, 
 }
 
 // verify reports whether HGED(q, g) ≤ tau, with the distance when it is,
-// running one thresholded BFS on the given solver (each worker owns its
-// solver for the duration of a search, keeping verification
-// allocation-light). Options.Threshold 0 means unbounded, so tau = 0 runs
-// at Threshold 1 and accepts only distance 0: capped and cancellable like
-// every other verification. A capped BFS reports its incumbent, which is
-// accepted only when it is ≤ tau.
+// through Solver.Within on the given solver (each worker owns its solver
+// for the duration of a search, keeping verification allocation-light). A
+// capped verification accepts its BFS incumbent only when it is ≤ tau.
 func (ix *Index) verify(ctx context.Context, sv *core.Solver, q, g *hypergraph.Hypergraph, tau int) outcome {
-	res := sv.BFS(q, g, core.Options{Threshold: max(tau, 1), MaxExpansions: ix.MaxExpansions, Context: ctx})
-	if res.Exceeded || res.Cancelled || res.Distance > tau {
-		return outcome{}
-	}
-	return outcome{d: res.Distance, within: true}
+	res, ok := sv.Within(q, g, tau, core.Options{MaxExpansions: ix.MaxExpansions, Context: ctx})
+	return outcome{d: res.Distance, within: ok}
 }
 
 // nearestRound is the most candidates Nearest verifies in one threshold

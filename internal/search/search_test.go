@@ -225,9 +225,10 @@ func TestNearestTieLoserVerifiedStrictly(t *testing.T) {
 	}
 }
 
-// TestVerifyZeroThresholdMatchesIsomorphic: verification at τ = 0 (a BFS at
-// Threshold 1 that accepts only distance 0) agrees with the isomorphism
-// test on every pair of the churn-shaped and planted corpora.
+// TestVerifyZeroThresholdMatchesIsomorphic: verification at τ = 0 — a
+// Solver.Within bounded at 0 itself, which pushes only f = 0 states —
+// agrees with the isomorphism test on every pair of the churn-shaped and
+// planted corpora, called directly and through the index's verify.
 func TestVerifyZeroThresholdMatchesIsomorphic(t *testing.T) {
 	planted, _ := plantedCorpus(t)
 	sv := core.AcquireSolver()
@@ -237,9 +238,13 @@ func TestVerifyZeroThresholdMatchesIsomorphic(t *testing.T) {
 		isomorphic := 0
 		for i, q := range graphs {
 			for j, g := range graphs {
-				got := ix.verify(context.Background(), sv, q, g, 0)
 				iso := hypergraph.Isomorphic(q, g)
-				if got.within != iso || got.d != 0 {
+				res, ok := sv.Within(q, g, 0, core.Options{})
+				if ok != iso || ok && res.Distance != 0 {
+					t.Fatalf("%s (%d, %d): Within at τ=0 = (%+v, %v), Isomorphic = %v", name, i, j, res, ok, iso)
+				}
+				got := ix.verify(context.Background(), sv, q, g, 0)
+				if got.within != iso || iso && got.d != 0 {
 					t.Fatalf("%s (%d, %d): verify at τ=0 = %+v, Isomorphic = %v", name, i, j, got, iso)
 				}
 				if iso {

@@ -390,7 +390,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		Expanded: res.Expanded,
 	}
 	if req.Tau > 0 {
-		within := !res.Exceeded
+		within := res.Within(req.Tau)
 		resp.Within = &within
 	}
 	if req.Explain && res.Path != nil {

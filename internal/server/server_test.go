@@ -165,6 +165,41 @@ func TestDistanceWithExplanation(t *testing.T) {
 	}
 }
 
+// TestDistanceCappedWithinMeetsTau: a /distance reply's "within" must
+// agree with its distance when the expansion cap cuts the BFS short. The
+// capped search returns its incumbent without a proven exceedance; on
+// these planted-graph pairs at a cap of 2 that incumbent is above τ = 3
+// or 5 (distances 6 to 63), and the reply once said within:true anyway.
+func TestDistanceCappedWithinMeetsTau(t *testing.T) {
+	env := newTestEnv(t, server.Config{})
+	cappedAbove := 0
+	for _, pair := range [][2]int{{7, 21}, {9, 17}, {16, 22}, {19, 23}} {
+		for _, tau := range []int{1, 3, 5} {
+			var resp struct {
+				Distance int   `json:"distance"`
+				Within   *bool `json:"within"`
+				Exact    bool  `json:"exact"`
+			}
+			body := map[string]any{"u": pair[0], "v": pair[1], "tau": tau, "maxExpansions": 2}
+			if code := env.do("POST", "/v1/graphs/planted/distance", body, &resp); code != 200 {
+				t.Fatalf("%v τ %d: status %d", pair, tau, code)
+			}
+			if resp.Within == nil {
+				t.Fatalf("%v τ %d: no within in the reply", pair, tau)
+			}
+			if *resp.Within != (resp.Distance <= tau) {
+				t.Fatalf("%v τ %d: within %v for distance %d (exact %v)", pair, tau, *resp.Within, resp.Distance, resp.Exact)
+			}
+			if !resp.Exact && resp.Distance > tau {
+				cappedAbove++
+			}
+		}
+	}
+	if cappedAbove == 0 {
+		t.Fatal("no capped reply had an incumbent above τ; the test checks nothing")
+	}
+}
+
 func TestSigmaBatch(t *testing.T) {
 	env := newTestEnv(t, server.Config{})
 	var resp struct {
