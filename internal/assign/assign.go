@@ -5,9 +5,8 @@
 // hyperedges is exactly an assignment problem: the cost of pairing hyperedge
 // E with E' is its label mismatch plus |f(E) Δ E'|. Algorithm 2 of the paper
 // enumerates all m! hyperedge permutations; this solver replaces that
-// enumeration with an O(m³) exact computation, and also yields tight
-// assignment-based lower bounds. Both are benchmarked against each other in
-// the repository's ablation experiments.
+// enumeration with an O(m³) exact computation. Both are benchmarked against
+// each other in the repository's ablation experiments.
 package assign
 
 import "math"

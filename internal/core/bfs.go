@@ -301,7 +301,7 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 	incumbent := 1 << 30
 	var incumbentMap *Mapping
 	if !opts.DisableUpperBound {
-		incumbent, incumbentMap = p.upperBound(opts.samples(), opts.seed())
+		incumbent, incumbentMap = p.upperBound(upperBoundSamples, upperBoundSeed)
 	}
 	bound := incumbent
 	if tau+1 < bound {
@@ -349,7 +349,7 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 	case capped:
 		// Budget exhausted: fall back to the best known upper bound.
 		if incumbentMap == nil {
-			incumbent, incumbentMap = p.upperBound(opts.samples(), opts.seed())
+			incumbent, incumbentMap = p.upperBound(upperBoundSamples, upperBoundSeed)
 		}
 		res.Distance = incumbent
 		res.Path = p.extractPath(incumbentMap)
@@ -460,12 +460,7 @@ func (s *bfsSearch) expandEdgeLevel(st int32, lvl, bound int) {
 func (s *bfsSearch) reconstructMapping(goal int32) *Mapping {
 	p := s.p
 	N, M := p.paddedN, p.paddedM
-	mp := &Mapping{
-		SrcN: p.src.n, TgtN: p.tgt.n,
-		SrcM: p.src.m, TgtM: p.tgt.m,
-		NodeMap: make([]int, N),
-		EdgeMap: make([]int, M),
-	}
+	mp := p.mapping(make([]int, N), make([]int, M))
 	for cur := goal; s.slab[cur].parent != noParent; cur = s.slab[cur].parent {
 		lvl := int(s.slab[s.slab[cur].parent].level)
 		if lvl < N {

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"hged/internal/assign"
 	"hged/internal/hypergraph"
 	"hged/internal/multiset"
 )
@@ -92,45 +91,6 @@ func weightedPsi(psi, diff, insDel, mismatch int) int {
 		diff = psi // defensive; Ψ ≥ |size difference| always
 	}
 	return diff*insDel + (psi-diff)*mismatch
-}
-
-// AssignmentLowerBound returns a (usually tighter) admissible lower bound on
-// the hyperedge part computed by solving an assignment problem whose pair
-// costs are themselves lower bounds — labelMismatch(E,E') + ||E|−|E'|| —
-// plus the node-label Ψ bound. It dominates LowerBound (an optimal
-// assignment of the summed pair costs is at least the sum of the optima of
-// each component) at O(M³) cost, and is used for one-shot threshold
-// filtering rather than per-search-state.
-func AssignmentLowerBound(g, h *hypergraph.Hypergraph) int {
-	s, t := compile(g), compile(h)
-	lb := multiset.PsiLabels(s.nodeLabels, t.nodeLabels)
-	M := maxInt(s.m, t.m)
-	if M == 0 {
-		return lb
-	}
-	cost := make([][]int64, M)
-	for e := 0; e < M; e++ {
-		cost[e] = make([]int64, M)
-		for f := 0; f < M; f++ {
-			switch {
-			case e < s.m && f < t.m:
-				c := s.cards[e] - t.cards[f]
-				if c < 0 {
-					c = -c
-				}
-				if s.edgeLabels[e] != t.edgeLabels[f] {
-					c++
-				}
-				cost[e][f] = int64(c)
-			case e < s.m:
-				cost[e][f] = int64(1 + s.cards[e])
-			case f < t.m:
-				cost[e][f] = int64(1 + t.cards[f])
-			}
-		}
-	}
-	_, total := assign.Solve(cost)
-	return lb + int(total)
 }
 
 // sortedL1 computes the zero-padded L1 distance of two ascending-sorted

@@ -68,9 +68,6 @@ func TestPaperExampleLowerBoundTight(t *testing.T) {
 	if lb := LowerBound(g, h); lb != 6 {
 		t.Fatalf("lower bound = %d, want 6", lb)
 	}
-	if lb := AssignmentLowerBound(g, h); lb < 6 || lb > 6 {
-		t.Fatalf("assignment lower bound = %d, want 6", lb)
-	}
 }
 
 func TestPaperExamplePathAppliesToIsomorphic(t *testing.T) {
@@ -160,9 +157,6 @@ func TestLowerAndUpperBoundsBracketDistance(t *testing.T) {
 		if lb := LowerBound(a, b); lb > d {
 			t.Fatalf("trial %d: lower bound %d > distance %d\na=%v\nb=%v", trial, lb, d, a, b)
 		}
-		if lb := AssignmentLowerBound(a, b); lb > d {
-			t.Fatalf("trial %d: assignment lower bound %d > distance %d\na=%v\nb=%v", trial, lb, d, a, b)
-		}
 		p := newPair(a, b)
 		ub, mp := p.upperBound(3, 1)
 		if ub < d {
@@ -170,17 +164,6 @@ func TestLowerAndUpperBoundsBracketDistance(t *testing.T) {
 		}
 		if err := mp.Validate(); err != nil {
 			t.Fatalf("trial %d: upper-bound mapping invalid: %v", trial, err)
-		}
-	}
-}
-
-func TestAssignmentLowerBoundDominates(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		a := randomHypergraph(rng, 5, 4, 3)
-		b := randomHypergraph(rng, 5, 4, 3)
-		if AssignmentLowerBound(a, b) < LowerBound(a, b) {
-			t.Fatalf("trial %d: assignment bound below Ψ+cardinality bound\na=%v\nb=%v", trial, a, b)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"hged/internal/assign"
@@ -151,50 +152,11 @@ func (p *pair) edcInaccurate(nodeMap []int) int {
 // EDCPermutation computes the exact minimum edit cost of transforming g into
 // h under the complete padded node mapping, by enumerating hyperedge
 // permutations with branch-and-bound pruning — the bipartite-graph-based
-// computation of Algorithm 2.
+// computation of Algorithm 2, run uncapped.
 func EDCPermutation(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 	p := newPair(g, h)
-	nodeCost := 0
-	for i, j := range nodeMap {
-		nodeCost += p.nodeCost(i, j)
-	}
-	return nodeCost + p.edgeCostPermutation(nodeMap, -1)
-}
-
-// edgeCostPermutation returns the minimum total hyperedge-mapping cost under
-// nodeMap, enumerating permutations of edge slots with pruning. A
-// non-negative budget makes the search abandon branches whose cost meets or
-// exceeds it, returning at least the budget if no cheaper completion exists.
-func (p *pair) edgeCostPermutation(nodeMap []int, budget int) int {
-	M := p.paddedM
-	if M == 0 {
-		return 0
-	}
-	best := 1 << 30
-	if budget >= 0 {
-		best = budget
-	}
-	usedTgt := make([]bool, M)
-	var rec func(e, acc int)
-	rec = func(e, acc int) {
-		if acc >= best {
-			return
-		}
-		if e == M {
-			best = acc
-			return
-		}
-		for f := 0; f < M; f++ {
-			if usedTgt[f] {
-				continue
-			}
-			usedTgt[f] = true
-			rec(e+1, acc+p.edgeCost(e, f, nodeMap))
-			usedTgt[f] = false
-		}
-	}
-	rec(0, 0)
-	return best
+	_, edgeMap, _, _ := p.edgePermutation(nodeMap, unbounded, math.MaxInt64, Options{})
+	return p.totalCost(p.mapping(nodeMap, edgeMap))
 }
 
 // EDCAssignment computes the same exact minimum edit cost as EDCPermutation
@@ -204,27 +166,7 @@ func (p *pair) edgeCostPermutation(nodeMap []int, budget int) int {
 // hyperedge mapping.
 func EDCAssignment(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 	p := newPair(g, h)
-	nodeCost := 0
-	for i, j := range nodeMap {
-		nodeCost += p.nodeCost(i, j)
-	}
-	return nodeCost + p.edgeCostAssignment(nodeMap)
-}
-
-func (p *pair) edgeCostAssignment(nodeMap []int) int {
-	M := p.paddedM
-	if M == 0 {
-		return 0
-	}
-	cost := make([][]int64, M)
-	for e := 0; e < M; e++ {
-		cost[e] = make([]int64, M)
-		for f := 0; f < M; f++ {
-			cost[e][f] = int64(p.edgeCost(e, f, nodeMap))
-		}
-	}
-	_, total := assign.Solve(cost)
-	return int(total)
+	return p.totalCost(p.mapping(nodeMap, p.edgeAssignment(nodeMap)))
 }
 
 // edgeAssignment returns the optimal hyperedge mapping (source slot → target

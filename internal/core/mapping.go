@@ -331,6 +331,16 @@ func (p *pair) edgeCost(e, f int, nodeMap []int) int {
 	}
 }
 
+// mapping wraps a node and a hyperedge map of the pair as a Mapping.
+func (p *pair) mapping(nodeMap, edgeMap []int) *Mapping {
+	return &Mapping{
+		SrcN: p.src.n, TgtN: p.tgt.n,
+		SrcM: p.src.m, TgtM: p.tgt.m,
+		NodeMap: nodeMap,
+		EdgeMap: edgeMap,
+	}
+}
+
 // totalCost evaluates the exact edit cost of a complete mapping.
 func (p *pair) totalCost(mp *Mapping) int {
 	cost := 0

@@ -3,7 +3,7 @@ package core
 import "context"
 
 // Options configures the HGED solvers. The zero value means: no threshold,
-// default expansion budget, all pruning strategies enabled, seed 1.
+// default expansion budget, all pruning strategies enabled.
 type Options struct {
 	// Context, when non-nil, makes the solver cancellable: it is polled
 	// every cancelCheckEvery expansions alongside the MaxExpansions
@@ -29,15 +29,6 @@ type Options struct {
 	// DisableLowerBound turns off Strategy 3 (label-based + hyperedge-based
 	// suffix lower bounds). Ablation hook.
 	DisableLowerBound bool
-	// UpperBoundSamples is the number of random mappings sampled for
-	// Strategy 2 in addition to the greedy one. 0 means the default (3).
-	UpperBoundSamples int
-	// Seed drives the deterministic sampling of Strategy 2. 0 means 1.
-	Seed int64
-	// UseHungarianEDC makes HGED-DFS compute the per-node-mapping edit cost
-	// with the O(m³) assignment solver instead of enumerating hyperedge
-	// permutations (Algorithm 2). Both are exact; this is the E10 ablation.
-	UseHungarianEDC bool
 	// Costs selects the edit-operation cost model. Nil means the paper's
 	// unit costs. Invalid models (see CostModel.Validate) panic, as they
 	// are programmer errors.
@@ -61,20 +52,6 @@ func (o Options) maxExpansions() int64 {
 		return defaultMaxExpansions
 	}
 	return o.MaxExpansions
-}
-
-func (o Options) samples() int {
-	if o.UpperBoundSamples <= 0 {
-		return 3
-	}
-	return o.UpperBoundSamples
-}
-
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
 }
 
 // unbounded is the threshold of a search without one: above every

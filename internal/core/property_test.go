@@ -59,7 +59,7 @@ func TestQuickBoundsBracket(t *testing.T) {
 	f := func(seed int64) bool {
 		a, b := quickGraphs(seed)
 		d := Distance(a, b)
-		if LowerBound(a, b) > d || AssignmentLowerBound(a, b) > d {
+		if LowerBound(a, b) > d {
 			return false
 		}
 		p := newPair(a, b)

@@ -86,9 +86,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.maxExpansions() != defaultMaxExpansions {
 		t.Fatal("default expansion budget wrong")
 	}
-	if o.samples() != 3 || o.seed() != 1 {
-		t.Fatal("default samples/seed wrong")
-	}
 	if o.tau() != unbounded {
 		t.Fatal("zero threshold must mean unbounded")
 	}
@@ -97,17 +94,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal("positive threshold must bound the search")
 	}
 	o.MaxExpansions = 7
-	o.UpperBoundSamples = 2
-	o.Seed = 9
-	if o.maxExpansions() != 7 || o.samples() != 2 || o.seed() != 9 {
+	if o.maxExpansions() != 7 {
 		t.Fatal("explicit options not honored")
-	}
-}
-
-func TestAssignmentLowerBoundEmptyEdges(t *testing.T) {
-	a := hypergraph.NewLabeled([]hypergraph.Label{1, 2})
-	b := hypergraph.NewLabeled([]hypergraph.Label{1, 3})
-	if got := AssignmentLowerBound(a, b); got != 1 {
-		t.Fatalf("edgeless assignment bound = %d, want 1", got)
 	}
 }

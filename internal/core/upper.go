@@ -8,6 +8,13 @@ import (
 	"hged/internal/hypergraph"
 )
 
+// Strategy 2 samples upperBoundSamples random mappings besides the greedy
+// one, from a source seeded with upperBoundSeed.
+const (
+	upperBoundSamples       = 3
+	upperBoundSeed    int64 = 1
+)
+
 // upperBound implements Strategy 2: it evaluates the exact edit cost of a
 // small set of heuristically constructed complete mappings — one greedy
 // label/degree-aligned mapping plus a few seeded random samples — and
@@ -24,23 +31,12 @@ func (p *pair) upperBound(samples int, seed int64) (int, *Mapping) {
 	perms := p.samplePerms(samples, seed)
 	winner := -1
 	for s := 0; s < samples; s++ {
-		mp := Mapping{
-			SrcN: p.src.n, TgtN: p.tgt.n,
-			SrcM: p.src.m, TgtM: p.tgt.m,
-			NodeMap: perms[2*s],
-			EdgeMap: perms[2*s+1],
-		}
-		if c := p.totalCost(&mp); c < bestCost {
+		if c := p.totalCost(p.mapping(perms[2*s], perms[2*s+1])); c < bestCost {
 			bestCost, winner = c, s
 		}
 	}
 	if winner >= 0 {
-		best = &Mapping{
-			SrcN: p.src.n, TgtN: p.tgt.n,
-			SrcM: p.src.m, TgtM: p.tgt.m,
-			NodeMap: slices.Clone(perms[2*winner]),
-			EdgeMap: slices.Clone(perms[2*winner+1]),
-		}
+		best = p.mapping(slices.Clone(perms[2*winner]), slices.Clone(perms[2*winner+1]))
 	}
 	return bestCost, best
 }
@@ -87,14 +83,9 @@ func (p *pair) samplePerms(samples int, seed int64) [][]int {
 // slots — the "simply ranked matching order" the paper observes is often
 // close to optimal.
 func (p *pair) greedyMapping() *Mapping {
-	N, M := p.paddedN, p.paddedM
-	mp := &Mapping{
-		SrcN: p.src.n, TgtN: p.tgt.n,
-		SrcM: p.src.m, TgtM: p.tgt.m,
-		NodeMap: alignLists(rankedSlots(p.src.nodeLabels, p.src.degrees), rankedSlots(p.tgt.nodeLabels, p.tgt.degrees), N),
-		EdgeMap: alignLists(rankedSlots(p.src.edgeLabels, p.src.cards), rankedSlots(p.tgt.edgeLabels, p.tgt.cards), M),
-	}
-	return mp
+	return p.mapping(
+		alignLists(rankedSlots(p.src.nodeLabels, p.src.degrees), rankedSlots(p.tgt.nodeLabels, p.tgt.degrees), p.paddedN),
+		alignLists(rankedSlots(p.src.edgeLabels, p.src.cards), rankedSlots(p.tgt.edgeLabels, p.tgt.cards), p.paddedM))
 }
 
 // rankedSlots returns the slots 0..len(labels)-1 ordered by label

@@ -185,8 +185,7 @@ func (c *pairCache) contextDistance(ctxID int32, sub *hypergraph.Hypergraph, uL,
 		return 0, true
 	}
 	if c.metric != nil {
-		// Metrics are neighborhood statistics over the full graph;
-		// memoize by pair only.
+		// Metrics are neighborhood statistics over the full graph.
 		return c.metric(c.g, u, v, budget)
 	}
 	key := ctxPairKey(ctxID, u, v)

@@ -52,7 +52,6 @@ func (p *Predictor) ExplainPrediction(pred Prediction) (*PredictionExplanation, 
 		PairSigma: make(map[[2]int]int),
 	}
 	worst := -1
-	var worstI, worstJ int
 	n := sub.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -61,14 +60,11 @@ func (p *Predictor) ExplainPrediction(pred Prediction) (*PredictionExplanation, 
 			ex.PairSigma[[2]int{i, j}] = res.Distance
 			if res.Distance > worst {
 				worst = res.Distance
-				worstI, worstJ = i, j
+				ex.WorstPair = [2]hypergraph.NodeID{sub.OrigID(hypergraph.NodeID(i)), sub.OrigID(hypergraph.NodeID(j))}
+				ex.WorstPath = res.Path
 			}
 		}
 	}
-	ex.WorstPair = [2]hypergraph.NodeID{sub.OrigID(hypergraph.NodeID(worstI)), sub.OrigID(hypergraph.NodeID(worstJ))}
-	res := core.BFS(sub.Ego(hypergraph.NodeID(worstI)), sub.Ego(hypergraph.NodeID(worstJ)),
-		core.Options{MaxExpansions: p.opts.MaxExpansions})
-	ex.WorstPath = res.Path
 	return ex, nil
 }
 

@@ -249,9 +249,12 @@ func (m *JobManager) Submit(graph string, opts hged.PredictOptions, timeout time
 		cancel()
 		return nil, ErrQueueFull
 	}
+	// Evict before the new job joins m.order: a worker may already have
+	// finished it, and the job being submitted never counts against
+	// retention.
+	m.evictLocked()
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
-	m.evictLocked()
 	m.metrics.jobSubmitted()
 	return job, nil
 }
