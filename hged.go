@@ -170,6 +170,11 @@ func Explain(p *Path, namer *Namer) []string { return core.Explain(p, namer) }
 // ExplainString renders an edit path as a numbered narrative.
 func ExplainString(p *Path, namer *Namer) string { return core.ExplainString(p, namer) }
 
+// EgoNamer names the slots of an edit path from the ego network eu in terms
+// of its host graph: "node 12" for a host node, "new node #5" and
+// "hyperedge #2" by slot otherwise.
+func EgoNamer(eu *Hypergraph) *Namer { return core.EgoNamer(eu) }
+
 // Hyperedge prediction (internal/predict).
 type (
 	// PredictOptions configures HEP (λ, τ, solver, size bounds).

@@ -25,11 +25,11 @@ func DFSHungarian(g, h *hypergraph.Hypergraph, opts Options) Result {
 }
 
 // permutationLeaf prices a complete node mapping by Algorithm 2, under the
-// cutoff min(best, τ+1) and the expansions the search has left; its steps
-// count as expansions.
+// cutoff min(best, τ+1) and the search's expansion cap; its steps count as
+// expansions.
 func permutationLeaf(s *nodeMapSearch, accNode int) (int, []int, bool) {
-	cost, edgeMap, steps, capped := s.p.edgePermutation(s.nodeMap, min(s.best, s.bound)-accNode, s.budget-s.expanded, s.opts)
-	s.expanded += steps
+	cost, edgeMap, expanded, capped := s.p.edgePermutation(s.nodeMap, min(s.best, s.bound)-accNode, s.expanded, s.budget, s.opts)
+	s.expanded = expanded
 	if capped {
 		s.capped = true
 	}
@@ -67,13 +67,15 @@ func (s *nodeMapSearch) exactResult() Result {
 // complete node mapping nodeMap, by enumerating permutations of hyperedge
 // slots with branch-and-bound pruning. It returns the mapping and its cost,
 // or (budget, nil) when no mapping costs less than budget, which is ≥ 1.
-// The enumeration spends at most maxSteps recursive steps and returns how
-// many it spent; when it runs out (or opts.Context is cancelled) it reports
+// Each recursive step is one expansion: the enumeration continues the
+// caller's count expanded, returns the new count, and polls opts.Context
+// when it crosses a multiple of the polling stride, as the caller does.
+// When the count passes maxExpanded (or the context is cancelled) it reports
 // capped=true and returns its best-so-far, then only an upper bound.
-func (p *pair) edgePermutation(nodeMap []int, budget int, maxSteps int64, opts Options) (cost int, perm []int, steps int64, capped bool) {
+func (p *pair) edgePermutation(nodeMap []int, budget int, expanded, maxExpanded int64, opts Options) (cost int, perm []int, count int64, capped bool) {
 	M := p.paddedM
 	if M == 0 {
-		return 0, []int{}, 0, false
+		return 0, []int{}, expanded, false
 	}
 	best := budget
 	var bestPerm []int
@@ -84,8 +86,8 @@ func (p *pair) edgePermutation(nodeMap []int, budget int, maxSteps int64, opts O
 		if capped {
 			return
 		}
-		steps++
-		if steps > maxSteps || opts.cancelled(steps) {
+		expanded++
+		if expanded > maxExpanded || opts.cancelled(expanded) {
 			capped = true
 			return
 		}
@@ -109,7 +111,7 @@ func (p *pair) edgePermutation(nodeMap []int, budget int, maxSteps int64, opts O
 	}
 	rec(0, 0)
 	if bestPerm == nil {
-		return budget, nil, steps, capped
+		return budget, nil, expanded, capped
 	}
-	return best, bestPerm, steps, capped
+	return best, bestPerm, expanded, capped
 }

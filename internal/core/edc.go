@@ -155,7 +155,7 @@ func (p *pair) edcInaccurate(nodeMap []int) int {
 // computation of Algorithm 2, run uncapped.
 func EDCPermutation(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 	p := newPair(g, h)
-	_, edgeMap, _, _ := p.edgePermutation(nodeMap, unbounded, math.MaxInt64, Options{})
+	_, edgeMap, _, _ := p.edgePermutation(nodeMap, unbounded, 0, math.MaxInt64, Options{})
 	return p.totalCost(p.mapping(nodeMap, edgeMap))
 }
 

@@ -16,6 +16,26 @@ type Namer struct {
 	Label func(l hypergraph.Label) string
 }
 
+// EgoNamer names the slots of an edit path from an ego network eu, which
+// was extracted from a host graph: eu's nodes by their host ids, its
+// hyperedges and every inserted entity by slot.
+func EgoNamer(eu *hypergraph.Hypergraph) *Namer {
+	return &Namer{
+		Node: func(slot int) string {
+			if slot < eu.NumNodes() {
+				return fmt.Sprintf("node %d", eu.OrigID(hypergraph.NodeID(slot)))
+			}
+			return fmt.Sprintf("new node #%d", slot)
+		},
+		Edge: func(slot int) string {
+			if slot < eu.NumEdges() {
+				return fmt.Sprintf("hyperedge #%d", slot)
+			}
+			return fmt.Sprintf("new hyperedge #%d", slot)
+		},
+	}
+}
+
 func (n *Namer) node(slot int) string {
 	if n != nil && n.Node != nil {
 		return n.Node(slot)

@@ -57,9 +57,9 @@ func TestEnumerationSolversGolden(t *testing.T) {
 		expanded int64
 		digest   uint64
 	}{
-		{"DFS", DFS, 424, 217975, 0x56e49d66a6ba8ee8},
+		{"DFS", DFS, 424, 69505, 0x76d96cd6429cd540},
 		{"DFSHungarian", DFSHungarian, 424, 18687, 0x4443d974ec4e64b9},
-		{"HEU", HEU, 424, 19039, 0x565dd9b565e5a0c2},
+		{"HEU", HEU, 424, 19039, 0x49abf0b239213f90},
 	}
 	for _, c := range cases {
 		h := fnv.New64a()

@@ -106,7 +106,7 @@ func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
 		// exceeds τ, not a proof that HGED does.
 		res.Exceeded = true
 	}
-	if s.bestNodeMap != nil {
+	if s.best < unbounded { // a leaf recorded a mapping
 		// Provide a concrete path via the optimal hyperedge assignment for
 		// the best node mapping found; its cost is ≤ the reported instance.
 		res.Path = s.p.extractPath(s.p.mapping(s.bestNodeMap, s.p.edgeAssignment(s.bestNodeMap)))

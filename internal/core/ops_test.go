@@ -160,6 +160,27 @@ func TestExplainWithNamer(t *testing.T) {
 	}
 }
 
+// TestEgoNamer pins the names the /distance handler and Predictor.Explain
+// give an ego network's slots: host ids for its nodes, slots otherwise.
+func TestEgoNamer(t *testing.T) {
+	g := hypergraph.New(4)
+	g.AddEdge(1, 1, 2)
+	g.AddEdge(1, 2, 3)
+	eu := g.Ego(3) // nodes 2 and 3, hyperedge {2,3}
+	n := EgoNamer(eu)
+	for _, c := range []struct{ got, want string }{
+		{n.Node(0), "node 2"},
+		{n.Node(1), "node 3"},
+		{n.Node(2), "new node #2"},
+		{n.Edge(0), "hyperedge #0"},
+		{n.Edge(1), "new hyperedge #1"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
+	}
+}
+
 func TestExplainNilPath(t *testing.T) {
 	if Explain(nil, nil) != nil {
 		t.Fatal("nil path should yield nil explanation")

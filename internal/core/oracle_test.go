@@ -128,9 +128,6 @@ func TestSolversMatchBruteForceOracle(t *testing.T) {
 					t.Fatalf("trial %d %s %+v: distance %d, oracle %d\na=%v\nb=%v", trial, s.name, w, res.Distance, want, a, b)
 				}
 				if res.Path == nil {
-					if max(a.NumNodes(), b.NumNodes()) == 0 && s.name == "HEU" {
-						continue // HEU derives no path for node-less pairs
-					}
 					t.Fatalf("trial %d %s %+v: no path\na=%v\nb=%v", trial, s.name, w, a, b)
 				}
 				cost := res.Path.WeightedCost(w)

@@ -7,9 +7,9 @@ import (
 
 // Ctxpoll enforces the cancellation contract on the solver core: every
 // state-expansion loop must poll Options.Context. The core's convention
-// (PR 3) is that expansion work increments a counter named `expanded` (BFS,
-// DFS, HEU main loops) or `spent` (the Algorithm-2 permutation enumeration)
-// and consults opts.cancelled(counter) — the throttled poll that checks the
+// is that expansion work increments a counter named `expanded` (BFS, the
+// node-mapping enumeration and its Algorithm-2 leaf) or `spent`, and
+// consults opts.cancelled(counter) — the throttled poll that checks the
 // context every cancelCheckEvery increments.
 //
 // The rule keys on that convention: a function (including its nested

@@ -10,7 +10,7 @@ import (
 // PairMetric is a pluggable node-dissimilarity: it returns the integer
 // distance between u and v in g and whether it is within the budget. Used
 // by NewWithMetric to drive the HEP framework with non-HGED similarities
-// (e.g. Jaccard). Metrics are context-independent.
+// (e.g. Jaccard). Metrics are context-independent and symmetric in u and v.
 type PairMetric func(g *hypergraph.Hypergraph, u, v hypergraph.NodeID, budget int) (int, bool)
 
 // pairCache memoizes σ computations — the on-demand algorithm of
@@ -28,31 +28,37 @@ type pairCache struct {
 	metric PairMetric
 
 	mu sync.Mutex
-	// full memoizes full-graph σ (Problem 1) by node pair.
-	full map[uint64]cacheEntry
-	// ctx memoizes induced-context σ by interned context id + node pair.
-	ctx map[ctxPair]cacheEntry
-	// fullWait and ctxWait register in-flight computations; waiters block
-	// on the channel and then re-read the memo.
-	fullWait map[uint64]chan struct{}
-	ctxWait  map[ctxPair]chan struct{}
-	// Context interner: canonical sorted node sets mapped to dense int32
-	// ids, hashed with collision-checked buckets (see internCtx).
-	ctxBuckets map[uint64][]int32
-	ctxSets    [][]hypergraph.NodeID
-	computed   int
-	hits       int
-	deduped    int
-	expanded   int64
+	// memo holds full-graph σ (Problem 1) and induced-context σ alike.
+	memo map[sigmaKey]cacheEntry
+	// wait registers in-flight computations; waiters block on the channel
+	// and then re-read the memo.
+	wait map[sigmaKey]chan struct{}
+	// ctxs interns the induced contexts' sorted node sets to the context
+	// ids of memo keys.
+	ctxs     nodeSets
+	computed int
+	hits     int
+	deduped  int
+	expanded int64
 }
 
-// ctxPair is the comparable memo key for an induced-context σ entry: an
-// interned context id plus the canonicalized node pair. It replaces the
-// previous string key (context bytes + packed pair), removing a string
-// build per lookup.
-type ctxPair struct {
+// fullGraph is the context id of full-graph σ; interned induced contexts
+// are numbered from 0.
+const fullGraph int32 = -1
+
+// sigmaKey is the memo key of one σ entry: a context id (fullGraph or an
+// interned context, see internCtx) and the canonicalized node pair, in
+// original node ids.
+type sigmaKey struct {
 	ctx  int32
 	u, v hypergraph.NodeID
+}
+
+func newSigmaKey(ctx int32, u, v hypergraph.NodeID) sigmaKey {
+	if u > v {
+		u, v = v, u
+	}
+	return sigmaKey{ctx: ctx, u: u, v: v}
 }
 
 // cacheEntry is an exact distance (Exact=true) or a proven lower bound:
@@ -65,52 +71,25 @@ type cacheEntry struct {
 
 func newPairCache(g *hypergraph.Hypergraph, o Options, metric PairMetric) *pairCache {
 	return &pairCache{
-		g:          g,
-		solver:     o.Algorithm,
-		maxEgo:     o.MaxEgoNodes,
-		maxExp:     o.MaxExpansions,
-		metric:     metric,
-		full:       make(map[uint64]cacheEntry),
-		ctx:        make(map[ctxPair]cacheEntry),
-		fullWait:   make(map[uint64]chan struct{}),
-		ctxWait:    make(map[ctxPair]chan struct{}),
-		ctxBuckets: make(map[uint64][]int32),
+		g:      g,
+		solver: o.Algorithm,
+		maxEgo: o.MaxEgoNodes,
+		maxExp: o.MaxExpansions,
+		metric: metric,
+		memo:   make(map[sigmaKey]cacheEntry),
+		wait:   make(map[sigmaKey]chan struct{}),
+		ctxs:   newNodeSets(0),
 	}
 }
 
-// internCtx returns the dense id of the context identified by the sorted
-// node set, assigning a fresh one on first sight. Hash collisions are
-// resolved by comparing the actual sets, so distinct contexts never share an
-// id. The slice is retained; callers must not mutate it afterwards.
+// internCtx returns the context id of the sorted node set, assigning a
+// fresh one on first sight. The slice is retained; callers must not mutate
+// it afterwards.
 func (c *pairCache) internCtx(nodes []hypergraph.NodeID) int32 {
-	k := hashNodeIDs(nodes)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.ctxBuckets[k] {
-		if nodeSetsEqual(c.ctxSets[id], nodes) {
-			return id
-		}
-	}
-	id := int32(len(c.ctxSets))
-	c.ctxSets = append(c.ctxSets, nodes)
-	c.ctxBuckets[k] = append(c.ctxBuckets[k], id)
+	id, _ := c.ctxs.intern(nodes)
 	return id
-}
-
-func pairKey(u, v hypergraph.NodeID) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-// ctxPairKey builds the comparable memo key for an induced-context σ entry,
-// canonicalizing the pair order.
-func ctxPairKey(ctx int32, u, v hypergraph.NodeID) ctxPair {
-	if u > v {
-		u, v = v, u
-	}
-	return ctxPair{ctx: ctx, u: u, v: v}
 }
 
 // answer resolves a cached entry against a budget: hit=false means the
@@ -125,95 +104,72 @@ func (e cacheEntry) answer(budget int) (d int, within, hit bool) {
 	return 0, false, false
 }
 
-// fullDistance returns the full-graph σ(u, v) under the budget.
+// fullDistance returns the full-graph σ(u, v) under the budget. Pairs whose
+// ego networks exceed MaxEgoNodes are not solved.
 func (c *pairCache) fullDistance(u, v hypergraph.NodeID, budget int) (int, bool) {
-	if u == v {
-		return 0, true
-	}
-	if c.metric != nil {
-		return c.metric(c.g, u, v, budget)
-	}
-	key := pairKey(u, v)
-	for {
-		c.mu.Lock()
-		if e, ok := c.full[key]; ok {
-			if d, within, hit := e.answer(budget); hit {
-				c.hits++
-				c.mu.Unlock()
-				return d, within
-			}
-		}
-		wait, inflight := c.fullWait[key]
-		if !inflight {
-			ch := make(chan struct{})
-			c.fullWait[key] = ch
-			c.mu.Unlock()
-
-			eu, ev := c.g.Ego(u), c.g.Ego(v)
-			guarded := c.maxEgo > 0 && (eu.NumNodes() > c.maxEgo || ev.NumNodes() > c.maxEgo)
-			var e cacheEntry
-			if !guarded {
-				e = c.solve(eu, ev, budget)
-			}
-			c.mu.Lock()
-			delete(c.fullWait, key)
-			close(ch)
-			if guarded {
-				c.mu.Unlock()
-				return 0, false
-			}
-			c.computed++
-			c.full[key] = e
-			c.mu.Unlock()
-			d, within, _ := e.answer(budget)
-			return d, within
-		}
-		// Another goroutine is solving this pair: wait for its entry and
-		// re-read. A larger budget than the winner's may still miss, in
-		// which case the loop takes over the computation.
-		c.deduped++
-		c.mu.Unlock()
-		<-wait
-	}
+	return c.distance(newSigmaKey(fullGraph, u, v), budget, func() (eu, ev *hypergraph.Hypergraph, ok bool) {
+		eu, ev = c.g.Ego(u), c.g.Ego(v)
+		return eu, ev, c.maxEgo <= 0 || eu.NumNodes() <= c.maxEgo && ev.NumNodes() <= c.maxEgo
+	})
 }
 
 // contextDistance returns σ inside the induced sub-hypergraph sub (whose
 // interned context id is ctxID, see internCtx) between local nodes uL and
 // vL, which correspond to original nodes u and v.
 func (c *pairCache) contextDistance(ctxID int32, sub *hypergraph.Hypergraph, uL, vL, u, v hypergraph.NodeID, budget int) (int, bool) {
-	if u == v {
+	return c.distance(newSigmaKey(ctxID, u, v), budget, func() (eu, ev *hypergraph.Hypergraph, ok bool) {
+		return sub.Ego(uL), sub.Ego(vL), true
+	})
+}
+
+// distance returns the σ memoized under key, solving it on a miss between
+// the ego networks egos supplies. egos reports ok=false for a pair that must
+// not be solved; it is answered "not within", and neither memoized nor
+// counted as computed.
+func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hypergraph.Hypergraph, ok bool)) (int, bool) {
+	if key.u == key.v {
 		return 0, true
 	}
 	if c.metric != nil {
 		// Metrics are neighborhood statistics over the full graph.
-		return c.metric(c.g, u, v, budget)
+		return c.metric(c.g, key.u, key.v, budget)
 	}
-	key := ctxPairKey(ctxID, u, v)
 	for {
 		c.mu.Lock()
-		if e, ok := c.ctx[key]; ok {
+		if e, ok := c.memo[key]; ok {
 			if d, within, hit := e.answer(budget); hit {
 				c.hits++
 				c.mu.Unlock()
 				return d, within
 			}
 		}
-		wait, inflight := c.ctxWait[key]
+		wait, inflight := c.wait[key]
 		if !inflight {
 			ch := make(chan struct{})
-			c.ctxWait[key] = ch
+			c.wait[key] = ch
 			c.mu.Unlock()
 
-			e := c.solve(sub.Ego(uL), sub.Ego(vL), budget)
+			eu, ev, ok := egos()
+			var e cacheEntry
+			if ok {
+				e = c.solve(eu, ev, budget)
+			}
 			c.mu.Lock()
-			delete(c.ctxWait, key)
+			delete(c.wait, key)
 			close(ch)
+			if !ok {
+				c.mu.Unlock()
+				return 0, false
+			}
 			c.computed++
-			c.ctx[key] = e
+			c.memo[key] = e
 			c.mu.Unlock()
 			d, within, _ := e.answer(budget)
 			return d, within
 		}
+		// Another goroutine is solving this key: wait for its entry and
+		// re-read. A larger budget than the winner's may still miss, in
+		// which case the loop takes over the computation.
 		c.deduped++
 		c.mu.Unlock()
 		<-wait

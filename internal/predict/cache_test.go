@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,14 +36,14 @@ func TestCtxInternerCollisionFree(t *testing.T) {
 	for _, s := range sets {
 		again := append([]hypergraph.NodeID(nil), s...)
 		id := c.internCtx(again)
-		if !nodeSetsEqual(ids[id], s) {
+		if !slices.Equal(ids[id], s) {
 			t.Fatalf("re-interning %v yielded id %d of %v", s, id, ids[id])
 		}
 	}
-	if ctxPairKey(7, 3, 9) != ctxPairKey(7, 9, 3) {
-		t.Fatal("ctxPairKey must canonicalize the pair order")
+	if newSigmaKey(7, 3, 9) != newSigmaKey(7, 9, 3) {
+		t.Fatal("newSigmaKey must canonicalize the pair order")
 	}
-	if ctxPairKey(7, 3, 9) == ctxPairKey(8, 3, 9) {
+	if newSigmaKey(7, 3, 9) == newSigmaKey(8, 3, 9) || newSigmaKey(0, 3, 9) == newSigmaKey(fullGraph, 3, 9) {
 		t.Fatal("distinct contexts must produce distinct keys")
 	}
 }
@@ -53,12 +54,12 @@ func TestCtxInternerCollisionFree(t *testing.T) {
 func TestFullDistanceSingleflight(t *testing.T) {
 	g := twoCommunities()
 	c := newPairCache(g, Options{Lambda: 3, Tau: 5, MaxEgoNodes: 64}, nil)
-	key := pairKey(1, 2)
+	key := newSigmaKey(fullGraph, 1, 2)
 
 	// Simulate an in-flight computation for (1,2).
 	ch := make(chan struct{})
 	c.mu.Lock()
-	c.fullWait[key] = ch
+	c.wait[key] = ch
 	c.mu.Unlock()
 
 	got := make(chan int, 1)
@@ -84,8 +85,8 @@ func TestFullDistanceSingleflight(t *testing.T) {
 
 	// Publish the "winner's" entry and release the waiter.
 	c.mu.Lock()
-	c.full[key] = cacheEntry{Dist: 3, Exact: true}
-	delete(c.fullWait, key)
+	c.memo[key] = cacheEntry{Dist: 3, Exact: true}
+	delete(c.wait, key)
 	c.mu.Unlock()
 	close(ch)
 

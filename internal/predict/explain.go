@@ -80,19 +80,5 @@ func (p *Predictor) Explain(u, v hypergraph.NodeID) (*Explanation, error) {
 	if res.Path == nil {
 		return nil, fmt.Errorf("predict: no edit path found for (%d,%d)", u, v)
 	}
-	namer := &core.Namer{
-		Node: func(slot int) string {
-			if slot < eu.NumNodes() {
-				return fmt.Sprintf("node %d", eu.OrigID(hypergraph.NodeID(slot)))
-			}
-			return fmt.Sprintf("new node #%d", slot)
-		},
-		Edge: func(slot int) string {
-			if slot < eu.NumEdges() {
-				return fmt.Sprintf("hyperedge #%d", slot)
-			}
-			return fmt.Sprintf("new hyperedge #%d", slot)
-		},
-	}
-	return &Explanation{U: u, V: v, Distance: res.Distance, Path: res.Path, namer: namer}, nil
+	return &Explanation{U: u, V: v, Distance: res.Distance, Path: res.Path, namer: core.EgoNamer(eu)}, nil
 }

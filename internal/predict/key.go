@@ -1,6 +1,10 @@
 package predict
 
-import "hged/internal/hypergraph"
+import (
+	"slices"
+
+	"hged/internal/hypergraph"
+)
 
 // hashNodeIDs hashes a sorted node set with 64-bit FNV-1a, folding in the
 // length so prefixes hash differently. Callers never rely on uniqueness:
@@ -21,47 +25,50 @@ func hashNodeIDs(nodes []hypergraph.NodeID) uint64 {
 	return h
 }
 
-func nodeSetsEqual(a, b []hypergraph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
+// nodeSets interns node sets, each sorted ascending, to dense int32 ids in
+// order of first sight. Sets are hashed into collision-checked buckets, so
+// distinct sets never share an id.
+type nodeSets struct {
+	buckets map[uint64][]int32
+	sets    [][]hypergraph.NodeID
+}
+
+func newNodeSets(sizeHint int) nodeSets {
+	return nodeSets{buckets: make(map[uint64][]int32, sizeHint)}
+}
+
+func (s *nodeSets) find(nodes []hypergraph.NodeID, h uint64) (int32, bool) {
+	for _, id := range s.buckets[h] {
+		if slices.Equal(s.sets[id], nodes) {
+			return id, true
 		}
 	}
-	return true
+	return 0, false
 }
 
-// nodeSetSet is a collision-checked set of node sets keyed by hash: the
-// allocation-light replacement for the previous map[string]struct{} keyed by
-// varint-encoded member lists. Inputs must be sorted ascending.
-type nodeSetSet struct {
-	buckets map[uint64][][]hypergraph.NodeID
+func (s *nodeSets) contains(nodes []hypergraph.NodeID) bool {
+	_, ok := s.find(nodes, hashNodeIDs(nodes))
+	return ok
 }
 
-func newNodeSetSet(sizeHint int) *nodeSetSet {
-	return &nodeSetSet{buckets: make(map[uint64][][]hypergraph.NodeID, sizeHint)}
-}
-
-func (s *nodeSetSet) contains(nodes []hypergraph.NodeID) bool {
-	for _, cand := range s.buckets[hashNodeIDs(nodes)] {
-		if nodeSetsEqual(cand, nodes) {
-			return true
-		}
+// intern returns the id of the set and whether it was added now. An added
+// slice is retained; callers must not mutate it afterwards.
+func (s *nodeSets) intern(nodes []hypergraph.NodeID) (int32, bool) {
+	h := hashNodeIDs(nodes)
+	if id, ok := s.find(nodes, h); ok {
+		return id, false
 	}
-	return false
+	id := int32(len(s.sets))
+	s.sets = append(s.sets, nodes)
+	s.buckets[h] = append(s.buckets[h], id)
+	return id, true
 }
 
-// insert adds the set (retaining the slice; callers must not mutate it
-// afterwards) and reports whether it was absent.
-func (s *nodeSetSet) insert(nodes []hypergraph.NodeID) bool {
-	k := hashNodeIDs(nodes)
-	for _, cand := range s.buckets[k] {
-		if nodeSetsEqual(cand, nodes) {
-			return false
-		}
+// clone returns an independent copy that assigns the same ids.
+func (s *nodeSets) clone() nodeSets {
+	c := newNodeSets(len(s.buckets))
+	for _, set := range s.sets {
+		c.intern(set)
 	}
-	s.buckets[k] = append(s.buckets[k], nodes)
-	return true
+	return c
 }

@@ -24,9 +24,9 @@ func varintKeyOf(nodes []hypergraph.NodeID) string {
 }
 
 // TestHashedKeysAgreeWithStringKeys checks, over seeded random hypergraphs,
-// that nodeSetSet answers membership exactly as a map keyed by the old
-// varint string encoding: same dedup decisions, no false merges, no false
-// splits.
+// that nodeSets answers membership exactly as a map keyed by the old
+// varint string encoding: same dedup decisions and the same dense ids, no
+// false merges, no false splits.
 func TestHashedKeysAgreeWithStringKeys(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := gen.Uniform(60, 120, 5, 3, 2, seed)
@@ -59,13 +59,16 @@ func TestHashedKeysAgreeWithStringKeys(t *testing.T) {
 			sets = append(sets, append([]hypergraph.NodeID(nil), e.Nodes...))
 		}
 
-		hashed := newNodeSetSet(len(sets))
-		strings := make(map[string]struct{}, len(sets))
+		hashed := newNodeSets(len(sets))
+		strings := make(map[string]int32, len(sets))
 		for i, s := range sets {
-			_, strDup := strings[varintKeyOf(s)]
-			strings[varintKeyOf(s)] = struct{}{}
-			if hashDup := !hashed.insert(s); hashDup != strDup {
-				t.Fatalf("seed %d set %d (%v): hashed dup=%v, string dup=%v", seed, i, s, hashDup, strDup)
+			wantID, strDup := strings[varintKeyOf(s)]
+			if !strDup {
+				wantID = int32(len(strings))
+				strings[varintKeyOf(s)] = wantID
+			}
+			if id, added := hashed.intern(s); added == strDup || id != wantID {
+				t.Fatalf("seed %d set %d (%v): hashed id %d dup=%v, string id %d dup=%v", seed, i, s, id, !added, wantID, strDup)
 			}
 			if !hashed.contains(s) {
 				t.Fatalf("seed %d: inserted set %v not found", seed, s)
@@ -85,10 +88,10 @@ func TestDuplicateHyperedgesShareOneKey(t *testing.T) {
 	g.AddEdge(1, 0, 1)    // proper subset
 	g.AddEdge(1, 0, 1, 2, 3)
 
-	s := newNodeSetSet(4)
+	s := newNodeSets(4)
 	dups := 0
 	for _, e := range g.Edges() {
-		if !s.insert(e.Nodes) {
+		if _, added := s.intern(e.Nodes); !added {
 			dups++
 		}
 	}

@@ -199,7 +199,7 @@ func (p *Predictor) Sigma(u, v hypergraph.NodeID, budget int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return d, d <= budget
+	return d, true
 }
 
 // Run executes HEP and returns all predicted (λ,τ)-hyperedges, sorted by
@@ -238,61 +238,50 @@ func (p *Predictor) RunContext(ctx context.Context, progress func(done, total in
 		progress(d, total)
 	}
 
-	workers := p.opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
+	// One worker takes the seeds in order, so a sequential run's work
+	// counters do not depend on scheduling.
+	workers := max(p.opts.Parallelism, 1)
 	results := make([][]Prediction, len(seeds))
-	if workers == 1 {
-		for i, s := range seeds {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			results[i] = p.processSeed(s)
-			report()
-		}
-	} else {
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					if ctx.Err() != nil {
-						continue // drain the channel without working
-					}
-					results[i] = p.processSeed(seeds[i])
-					report()
+	var wg sync.WaitGroup
+	ch := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				if ctx.Err() != nil {
+					continue // drain the channel without working
 				}
-			}()
-		}
-	feed:
-		for i := range seeds {
-			select {
-			case ch <- i:
-			case <-ctx.Done():
-				break feed
+				results[i] = p.processSeed(seeds[i])
+				report()
 			}
-		}
-		close(ch)
-		wg.Wait()
+		}()
 	}
+feed:
+	for i := range seeds {
+		select {
+		case ch <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(ch)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	existing := newNodeSetSet(p.g.NumEdges())
+	existing := newNodeSets(p.g.NumEdges())
 	if !p.opts.IncludeExisting {
 		for _, e := range p.g.Edges() {
-			existing.insert(e.Nodes)
+			existing.intern(e.Nodes)
 		}
 	}
-	seen := newNodeSetSet(0)
+	seen := newNodeSets(0)
 	var out []Prediction
 	for _, preds := range results {
 		for _, pr := range preds {
-			if !seen.insert(pr.Nodes) {
+			if _, added := seen.intern(pr.Nodes); !added {
 				continue
 			}
 			if existing.contains(pr.Nodes) {
@@ -398,7 +387,7 @@ func (p *Predictor) admit(s []hypergraph.NodeID, w hypergraph.NodeID) bool {
 		if vLocal == wLocal {
 			continue
 		}
-		if d, ok := p.cache.contextDistance(ctx, sub, wLocal, vLocal, w, c[vLocal], p.opts.Tau); !ok || d > p.opts.Tau {
+		if _, ok := p.cache.contextDistance(ctx, sub, wLocal, vLocal, w, c[vLocal], p.opts.Tau); !ok {
 			return false
 		}
 	}

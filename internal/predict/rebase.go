@@ -1,6 +1,10 @@
 package predict
 
-import "hged/internal/hypergraph"
+import (
+	"slices"
+
+	"hged/internal/hypergraph"
+)
 
 // Rebase returns a new Predictor serving graph g — the next published
 // generation of the graph this predictor was built on — carrying over every
@@ -17,26 +21,15 @@ import "hged/internal/hypergraph"
 // context set is invalid (any edit fully inside the context marks some
 // member invalid — see hypergraph.Batch).
 func (p *Predictor) Rebase(g *hypergraph.Hypergraph, invalid func(hypergraph.NodeID) bool) *Predictor {
-	np := &Predictor{g: g, opts: p.opts, cache: p.cache.rebase(g, invalid)}
+	np := &Predictor{g: g, opts: p.opts, cache: p.cache.rebase(g, p.opts, invalid)}
 	p.mu.Lock()
 	np.seeds, np.grown = p.seeds, p.grown
 	p.mu.Unlock()
 	return np
 }
 
-func (c *pairCache) rebase(g *hypergraph.Hypergraph, invalid func(hypergraph.NodeID) bool) *pairCache {
-	nc := &pairCache{
-		g:          g,
-		solver:     c.solver,
-		maxEgo:     c.maxEgo,
-		maxExp:     c.maxExp,
-		metric:     c.metric,
-		full:       make(map[uint64]cacheEntry),
-		ctx:        make(map[ctxPair]cacheEntry),
-		fullWait:   make(map[uint64]chan struct{}),
-		ctxWait:    make(map[ctxPair]chan struct{}),
-		ctxBuckets: make(map[uint64][]int32),
-	}
+func (c *pairCache) rebase(g *hypergraph.Hypergraph, o Options, invalid func(hypergraph.NodeID) bool) *pairCache {
+	nc := newPairCache(g, o, c.metric)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nc.computed, nc.hits, nc.deduped, nc.expanded = c.computed, c.hits, c.deduped, c.expanded
@@ -45,33 +38,21 @@ func (c *pairCache) rebase(g *hypergraph.Hypergraph, invalid func(hypergraph.Nod
 	}
 	// The context interner carries over wholesale (ids stay stable across
 	// generations); only entries touching an invalid node are dropped.
-	nc.ctxSets = append(nc.ctxSets, c.ctxSets...)
-	//hgedvet:ignore detrange map-to-map copy of the interner buckets: keys are independent, the result is order-invariant
-	for k, ids := range c.ctxBuckets {
-		nc.ctxBuckets[k] = append([]int32(nil), ids...)
-	}
-	ctxValid := make([]bool, len(c.ctxSets))
-	for id, set := range c.ctxSets {
-		ok := true
-		for _, u := range set {
-			if invalid(u) {
-				ok = false
-				break
-			}
-		}
-		ctxValid[id] = ok
+	nc.ctxs = c.ctxs.clone()
+	ctxValid := make([]bool, len(c.ctxs.sets))
+	for id, set := range c.ctxs.sets {
+		ctxValid[id] = !slices.ContainsFunc(set, invalid)
 	}
 	//hgedvet:ignore detrange filtered map-to-map copy: each key is written independently, the result is order-invariant
-	for key, e := range c.full {
-		u, v := hypergraph.NodeID(key>>32), hypergraph.NodeID(uint32(key))
-		if !invalid(u) && !invalid(v) {
-			nc.full[key] = e
+	for key, e := range c.memo {
+		var keep bool
+		if key.ctx == fullGraph {
+			keep = !invalid(key.u) && !invalid(key.v)
+		} else {
+			keep = ctxValid[key.ctx]
 		}
-	}
-	//hgedvet:ignore detrange filtered map-to-map copy: each key is written independently, the result is order-invariant
-	for key, e := range c.ctx {
-		if ctxValid[key.ctx] {
-			nc.ctx[key] = e
+		if keep {
+			nc.memo[key] = e
 		}
 	}
 	return nc

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"reflect"
 	"testing"
 
 	"hged/internal/hypergraph"
@@ -94,5 +95,46 @@ func TestRebaseFullDropOnRenumber(t *testing.T) {
 	np.Sigma(3, 4, budget)
 	if got := np.Stats().PairsComputed; got != base+1 {
 		t.Fatalf("expected a recomputation after renumber, PairsComputed %d, want %d", got, base+1)
+	}
+}
+
+// TestRebaseCarriesContextEntries pins context σ across Rebase: after a
+// batch that touches one community, a rebased HEP run must predict exactly
+// what a cold predictor predicts on the new generation, and must compute
+// fewer σ pairs than the cold run, because the induced-context entries of
+// the untouched community carry over.
+func TestRebaseCarriesContextEntries(t *testing.T) {
+	v := hypergraph.NewVersioned(twoCommunities())
+	p, err := New(v.Current().Graph(), Options{Lambda: 2, Tau: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Run()) == 0 {
+		t.Fatal("no predictions before the batch: the test would compare empty sets")
+	}
+
+	b := v.Begin()
+	b.RemoveEdge(0) // {0,1,2}: changes σ inside the first community
+	gen, delta := b.Commit()
+	for u := hypergraph.NodeID(4); u < 8; u++ {
+		if delta.Invalidates(u) {
+			t.Fatalf("batch on the first community invalidated node %d of the second", u)
+		}
+	}
+	np := p.Rebase(gen.Graph(), delta.Invalidates)
+	before := np.Stats().PairsComputed
+	got := np.Run()
+	rebased := np.Stats().PairsComputed - before
+
+	cold, err := New(gen.Graph(), Options{Lambda: 2, Tau: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold.Run()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebased predictions %v, cold predictor %v", got, want)
+	}
+	if coldPairs := cold.Stats().PairsComputed; rebased >= coldPairs {
+		t.Fatalf("rebased run computed %d σ pairs, cold run %d: context entries were not carried", rebased, coldPairs)
 	}
 }

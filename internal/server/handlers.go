@@ -295,22 +295,14 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 
 // --- distance ---
 
-type costsRequest struct {
-	Node        int `json:"node"`
-	Edge        int `json:"edge"`
-	Incidence   int `json:"incidence"`
-	NodeRelabel int `json:"nodeRelabel"`
-	EdgeRelabel int `json:"edgeRelabel"`
-}
-
 type distanceRequest struct {
-	U             int           `json:"u"`
-	V             int           `json:"v"`
-	Tau           int           `json:"tau"`           // > 0 enables threshold verification
-	Solver        string        `json:"solver"`        // bfs | dfs | heu
-	Explain       bool          `json:"explain"`       // include the edit-path explanation
-	MaxExpansions int64         `json:"maxExpansions"` // clamped to the server cap
-	Costs         *costsRequest `json:"costs"`
+	U             int             `json:"u"`
+	V             int             `json:"v"`
+	Tau           int             `json:"tau"`           // > 0 enables threshold verification
+	Solver        string          `json:"solver"`        // bfs | dfs | heu
+	Explain       bool            `json:"explain"`       // include the edit-path explanation
+	MaxExpansions int64           `json:"maxExpansions"` // clamped to the server cap
+	Costs         *hged.CostModel `json:"costs"`         // keys node, edge, incidence, nodeRelabel, edgeRelabel
 }
 
 type distanceResponse struct {
@@ -352,33 +344,27 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "tau = %d, must be ≥ 0", req.Tau)
 		return
 	}
-	opts := hged.Options{Threshold: req.Tau, MaxExpansions: capExpansions(req.MaxExpansions)}
 	if req.Costs != nil {
-		cm := hged.CostModel{
-			Node:        req.Costs.Node,
-			Edge:        req.Costs.Edge,
-			Incidence:   req.Costs.Incidence,
-			NodeRelabel: req.Costs.NodeRelabel,
-			EdgeRelabel: req.Costs.EdgeRelabel,
-		}
-		if err := cm.Validate(); err != nil {
+		if err := req.Costs.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		opts.Costs = &cm
 	}
+	alg, err := parseAlgorithm(req.Solver)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	opts := hged.Options{Threshold: req.Tau, MaxExpansions: capExpansions(req.MaxExpansions), Costs: req.Costs}
 	eu, ev := g.Ego(hged.NodeID(req.U)), g.Ego(hged.NodeID(req.V))
 	var res hged.Result
-	switch strings.ToLower(req.Solver) {
-	case "", "bfs":
-		res = hged.BFS(eu, ev, opts)
-	case "dfs":
+	switch alg {
+	case hged.AlgDFS:
 		res = hged.DFS(eu, ev, opts)
-	case "heu":
+	case hged.AlgHEU:
 		res = hged.HEU(eu, ev, opts)
 	default:
-		writeError(w, http.StatusBadRequest, "unknown solver %q (want bfs, dfs or heu)", req.Solver)
-		return
+		res = hged.BFS(eu, ev, opts)
 	}
 	s.metrics.addExpansions(res.Expanded)
 
@@ -394,21 +380,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		resp.Within = &within
 	}
 	if req.Explain && res.Path != nil {
-		namer := &hged.Namer{
-			Node: func(slot int) string {
-				if slot < eu.NumNodes() {
-					return fmt.Sprintf("node %d", eu.OrigID(hged.NodeID(slot)))
-				}
-				return fmt.Sprintf("new node #%d", slot)
-			},
-			Edge: func(slot int) string {
-				if slot < eu.NumEdges() {
-					return fmt.Sprintf("hyperedge #%d", slot)
-				}
-				return fmt.Sprintf("new hyperedge #%d", slot)
-			},
-		}
-		resp.Explanation = hged.Explain(res.Path, namer)
+		resp.Explanation = hged.Explain(res.Path, hged.EgoNamer(eu))
 		var buf bytes.Buffer
 		if err := hged.WritePathJSON(&buf, res.Path); err == nil {
 			resp.Ops = json.RawMessage(bytes.TrimSpace(buf.Bytes()))

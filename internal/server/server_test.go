@@ -163,6 +163,14 @@ func TestDistanceWithExplanation(t *testing.T) {
 	if code := env.do("POST", "/v1/graphs/fig1/distance", map[string]any{"u": 0, "v": 1, "solver": "qubit"}, nil); code != 400 {
 		t.Fatalf("bad solver status %d, want 400", code)
 	}
+	for _, costs := range []map[string]int{
+		{"node": 2, "edge": 2, "incidence": 1, "nodeRelabel": 1, "edgeRelabel": 1, "hub": 1}, // unknown key
+		{"node": 2, "edge": 2, "incidence": 1, "nodeRelabel": 1},                             // edgeRelabel 0
+	} {
+		if code := env.do("POST", "/v1/graphs/fig1/distance", map[string]any{"u": 0, "v": 1, "costs": costs}, nil); code != 400 {
+			t.Fatalf("costs %v: status %d, want 400", costs, code)
+		}
+	}
 }
 
 // TestDistanceCappedWithinMeetsTau: a /distance reply's "within" must
