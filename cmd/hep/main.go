@@ -50,15 +50,9 @@ func run() error {
 	if *js {
 		p, err = baseline.NewJS(g, baseline.JSOptions{Lambda: *lambda, MinSim: *minSim, MaxSize: *maxSize})
 	} else {
-		alg := predict.AlgBFS
-		switch *solver {
-		case "bfs":
-		case "dfs":
-			alg = predict.AlgDFS
-		case "heu":
-			alg = predict.AlgHEU
-		default:
-			return fmt.Errorf("unknown solver %q", *solver)
+		var alg predict.Algorithm
+		if alg, err = predict.ParseAlgorithm(*solver); err != nil {
+			return err
 		}
 		p, err = predict.New(g, predict.Options{
 			Lambda: *lambda, Tau: *tau, Algorithm: alg,

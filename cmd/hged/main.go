@@ -18,6 +18,7 @@ import (
 	"hged/internal/core"
 	"hged/internal/hgio"
 	"hged/internal/hypergraph"
+	"hged/internal/predict"
 )
 
 func main() {
@@ -35,6 +36,10 @@ func run() error {
 	maxExp := flag.Int64("max-expansions", 0, "search expansion budget (0 = default)")
 	flag.Parse()
 
+	alg, err := predict.ParseAlgorithm(*solver)
+	if err != nil {
+		return err
+	}
 	opts := core.Options{Threshold: *tau, MaxExpansions: *maxExp}
 
 	var a, b *hypergraph.Hypergraph
@@ -55,7 +60,6 @@ func run() error {
 		fmt.Printf("EGO(%d): %d nodes, %d hyperedges; EGO(%d): %d nodes, %d hyperedges\n",
 			u, a.NumNodes(), a.NumEdges(), v, b.NumNodes(), b.NumEdges())
 	case flag.NArg() == 2:
-		var err error
 		if a, err = load(flag.Arg(0)); err != nil {
 			return err
 		}
@@ -67,17 +71,7 @@ func run() error {
 		return fmt.Errorf("need two graph files, or -nodes u,v with one graph file")
 	}
 
-	var res core.Result
-	switch *solver {
-	case "bfs":
-		res = core.BFS(a, b, opts)
-	case "dfs":
-		res = core.DFS(a, b, opts)
-	case "heu":
-		res = core.HEU(a, b, opts)
-	default:
-		return fmt.Errorf("unknown solver %q", *solver)
-	}
+	res, _ := alg.Within(a, b, opts.Tau(), opts)
 
 	switch {
 	case res.Exceeded:

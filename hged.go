@@ -199,6 +199,10 @@ const (
 	AlgHEU = predict.AlgHEU
 )
 
+// ParseAlgorithm maps a solver name (bfs, dfs or heu, in any case; "" is
+// bfs) to its PredictAlgorithm, whose Within method runs that solver.
+func ParseAlgorithm(name string) (PredictAlgorithm, error) { return predict.ParseAlgorithm(name) }
+
 // NewPredictor builds a HEP predictor for g.
 func NewPredictor(g *Hypergraph, opts PredictOptions) (*Predictor, error) {
 	return predict.New(g, opts)

@@ -7,7 +7,7 @@ import (
 	"hged/internal/hypergraph"
 )
 
-// TestSolverBFSAllocBound guards the slab/arena tentpole: a warm Solver
+// TestSolverBFSAllocBound guards the slab/arena tentpole: a warm solver
 // re-solving a small pair must stay within a fixed allocation budget. The
 // measured cost is ~42 allocs/solve (Strategy-2 mapping construction, path
 // extraction, and the rerank sort closures — none of it per-state); the
@@ -15,15 +15,15 @@ import (
 // alone would add hundreds) sneak back in.
 func TestSolverBFSAllocBound(t *testing.T) {
 	g, h := egoPair()
-	sv := NewSolver()
-	want := sv.BFS(g, h, Options{})
+	sv := new(solver)
+	want, _ := sv.within(g, h, unbounded, Options{})
 	allocs := testing.AllocsPerRun(20, func() {
-		if res := sv.BFS(g, h, Options{}); res.Distance != want.Distance {
+		if res, _ := sv.within(g, h, unbounded, Options{}); res.Distance != want.Distance {
 			t.Errorf("distance drifted: %d vs %d", res.Distance, want.Distance)
 		}
 	})
 	if allocs > 60 {
-		t.Fatalf("warm Solver.BFS allocated %.1f per solve, budget 60", allocs)
+		t.Fatalf("warm solver allocated %.1f per solve, budget 60", allocs)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestPooledBFSConcurrentDeterminism(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits, misses := SolverPoolStats()
+	hits, misses := PoolStats()
 	if hits+misses <= 0 {
 		t.Fatal("solver pool counters never moved")
 	}

@@ -21,7 +21,7 @@ import (
 // all node levels precede all edge levels, so edge-mapping costs are exact
 // when incurred. The suffix bounds are consistent (each assignment's cost
 // dominates the bound decrease), so the first complete mapping popped is
-// optimal. The search is exact; with a threshold τ (see Solver.Within) it
+// optimal. The search is exact; with a threshold τ (see Within) it
 // may stop early with Exceeded=true once HGED > τ is proven.
 //
 // Label multisets are tracked as dense arrays over the pair's label
@@ -30,13 +30,12 @@ import (
 // cardinality bound recomputes in O(M) over sorted remainders.
 //
 // Search states live in a per-search slab and reference their parents by
-// index, so pushing a state never allocates once the slab is warm; the
-// package-level BFS runs on a pooled Solver whose slab, priority queue and
-// scratch persist across calls.
+// index, so pushing a state never allocates once the slab is warm; BFS is
+// Within at the threshold of opts, so it runs on a pooled solver whose
+// slab, priority queue and scratch persist across calls.
 func BFS(g, h *hypergraph.Hypergraph, opts Options) Result {
-	sv := AcquireSolver()
-	defer ReleaseSolver(sv)
-	return sv.BFS(g, h, opts)
+	res, _ := Within(g, h, opts.Tau(), opts)
+	return res
 }
 
 // state is a search node: the assignment made at the parent's level to reach
@@ -278,7 +277,7 @@ func interSize(a, b []int32) int {
 	return n
 }
 
-// run searches the prepared pair at threshold tau (see Solver.Within).
+// run searches the prepared pair at threshold tau (see Within).
 func (s *bfsSearch) run(opts Options, tau int) Result {
 	tau = min(tau, unbounded) // tau+1 must not overflow
 	p := s.p

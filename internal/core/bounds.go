@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"hged/internal/hypergraph"
-	"hged/internal/multiset"
 )
 
 // LowerBound returns the paper's Strategy-3 lower bound on HGED(g, h): the
@@ -13,27 +12,19 @@ import (
 // charge disjoint cost families (labels+insertions vs. incidences), so their
 // sum is admissible.
 func LowerBound(g, h *hypergraph.Hypergraph) int {
-	return lowerBoundDataModel(compile(g), compile(h), UnitCosts())
+	return newPair(g, h).rootLowerBound()
 }
 
-// lowerBoundDataModel is the Strategy-3 bound under a cost model: of the Ψ
-// entities needing attention, the size difference must be inserted/deleted
-// and the remainder costs at least the cheaper of relabel and
-// insert/delete; incidence edits cost the cardinality bound times the
-// incidence weight.
-func lowerBoundDataModel(s, t *graphData, w CostModel) int {
-	lb := weightedPsi(multiset.PsiLabels(s.nodeLabels, t.nodeLabels), s.n-t.n, w.Node, w.minNodeMismatch())
-	lb += weightedPsi(multiset.PsiLabels(s.edgeLabels, t.edgeLabels), s.m-t.m, w.Edge, w.minEdgeMismatch())
-	lb += multiset.CardinalityBound(s.cards, t.cards) * w.Incidence
-	return lb
-}
-
-// rootLowerBound is lowerBoundDataModel on the pair's own compiled data,
-// computed over the dense pair-union label ids with retained scratch so a
-// warm solver derives the root bound without allocating: Ψ is a counting
-// pass over the interned ids, and the cardinality bound sorts retained
-// copies of the cards lists and L1-walks them top-aligned (identical to
-// zero-padding the front of the shorter ascending list).
+// rootLowerBound is the Strategy-3 bound on the pair under its cost model:
+// of the Ψ entities needing attention, the size difference must be
+// inserted/deleted and the remainder costs at least the cheaper of relabel
+// and insert/delete; incidence edits cost the cardinality bound times the
+// incidence weight. It runs over the dense pair-union label ids with
+// retained scratch, so a warm solver derives the root bound without
+// allocating: Ψ is a counting pass over the interned ids, and the
+// cardinality bound sorts retained copies of the cards lists and L1-walks
+// them top-aligned (identical to zero-padding the front of the shorter
+// ascending list).
 func (p *pair) rootLowerBound() int {
 	lb := weightedPsi(p.psiDense(p.srcNodeLab, p.tgtNodeLab, p.numNodeLab),
 		p.src.n-p.tgt.n, p.w.Node, p.w.minNodeMismatch())

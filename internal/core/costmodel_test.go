@@ -166,7 +166,7 @@ func TestWeightedLowerBoundAdmissible(t *testing.T) {
 		b := randomHypergraph(rng, 4, 3, 3)
 		m := models[trial%len(models)]
 		d := BFS(a, b, Options{Costs: &m}).Distance
-		lb := lowerBoundDataModel(compile(a), compile(b), m)
+		lb := newPairModel(a, b, m).rootLowerBound()
 		if lb > d {
 			t.Fatalf("trial %d (%+v): weighted lower bound %d > distance %d\na=%v\nb=%v",
 				trial, m, lb, d, a, b)

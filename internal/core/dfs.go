@@ -52,7 +52,7 @@ func assignmentLeaf(s *nodeMapSearch, accNode int) (int, []int, bool) {
 // path; otherwise the best mapping's path accompanies the distance.
 func (s *nodeMapSearch) exactResult() Result {
 	res := s.result()
-	if tau := s.opts.tau(); s.best > tau {
+	if tau := s.opts.Tau(); s.best > tau {
 		res.Exceeded = true
 		res.Distance = tau + 1 // proven lower bound when Exact
 		return res

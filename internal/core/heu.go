@@ -40,7 +40,7 @@ func searchNodeMaps(g, h *hypergraph.Hypergraph, opts Options, leaf leafCost) *n
 		p:       p,
 		opts:    opts,
 		budget:  opts.maxExpansions(),
-		bound:   opts.tau() + 1,
+		bound:   opts.Tau() + 1,
 		best:    unbounded,
 		nodeMap: make([]int, p.paddedN),
 		usedTgt: make([]bool, p.paddedN),
@@ -101,7 +101,7 @@ func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
 		return s.p.edcInaccurate(s.nodeMap), nil, true
 	})
 	res := s.result()
-	if s.best > opts.tau() {
+	if s.best > opts.Tau() {
 		// HEU is a heuristic: exceedance means the heuristic instance
 		// exceeds τ, not a proof that HGED does.
 		res.Exceeded = true

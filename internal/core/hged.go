@@ -8,18 +8,15 @@ func Distance(g, h *hypergraph.Hypergraph) int {
 	return BFS(g, h, Options{}).Distance
 }
 
-// DistanceWithin is Solver.Within on a pooled solver at the default
-// expansion cap. It returns the distance and true when HGED(g, h) ≤ tau —
-// the exact distance, or when the cap cuts the search short an upper
-// bound ≤ tau — and (0, false) otherwise.
+// DistanceWithin is Within at the default expansion cap. It returns the
+// distance and true when HGED(g, h) ≤ tau — the exact distance, or when
+// the cap cuts the search short an upper bound ≤ tau — and (0, false)
+// otherwise.
 func DistanceWithin(g, h *hypergraph.Hypergraph, tau int) (int, bool) {
-	sv := AcquireSolver()
-	defer ReleaseSolver(sv)
-	res, ok := sv.Within(g, h, tau, Options{})
-	if !ok {
-		return 0, false
+	if res, ok := Within(g, h, tau, Options{}); ok {
+		return res.Distance, true
 	}
-	return res.Distance, true
+	return 0, false
 }
 
 // DistanceWithPath computes HGED(g, h) and an optimal hypergraph edit path

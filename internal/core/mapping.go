@@ -67,7 +67,7 @@ func checkPerm(name string, perm []int, n int) error {
 // graphData is the solver-internal compiled form of a hypergraph: flat label
 // slices, edge member lists, and per-edge membership bitsets for O(1)
 // intersection tests. All storage is arena-backed (edge member lists slice
-// into nodeArena, bitsets into the flat memberBits) so that a pooled Solver
+// into nodeArena, bitsets into the flat memberBits) so that a pooled solver
 // can recompile graphs into the same buffers without reallocating.
 type graphData struct {
 	n, m       int
@@ -126,12 +126,6 @@ func (d *graphData) reset(g *hypergraph.Hypergraph) {
 	}
 }
 
-func compile(g *hypergraph.Hypergraph) *graphData {
-	d := new(graphData)
-	d.reset(g)
-	return d
-}
-
 func (d *graphData) contains(e, v int) bool {
 	if v < 0 || v >= d.n {
 		return false
@@ -186,7 +180,7 @@ func growIntSlices(buf [][]int, n int) [][]int {
 
 // pair bundles the compiled source and target for cost evaluation, with
 // shared dense label dictionaries so search code can use array-indexed
-// label multisets instead of maps. A pair owned by a Solver is re-initialized
+// label multisets instead of maps. A pair owned by a solver is re-initialized
 // in place across solves; its dictionaries, label slices and scratch buffers
 // are retained and reused.
 type pair struct {

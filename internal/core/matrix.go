@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"context"
 
 	"hged/internal/hypergraph"
 )
@@ -14,7 +14,8 @@ const NotWithin = -1
 // optionally in parallel. The result is symmetric with a zero diagonal.
 // When opts carries a threshold τ > 0, entries not within it (Result.Within)
 // are NotWithin, so a capped entry is NotWithin unless its upper bound ≤ τ.
-// workers ≤ 1 runs sequentially; results are identical either way.
+// The pairs fan out through ForEach over workers, each pair a pooled BFS;
+// workers ≤ 1 runs sequentially, and results are identical either way.
 func Matrix(graphs []*hypergraph.Hypergraph, opts Options, workers int) [][]int {
 	n := len(graphs)
 	out := make([][]int, n)
@@ -28,44 +29,16 @@ func Matrix(graphs []*hypergraph.Hypergraph, opts Options, workers int) [][]int 
 			jobs = append(jobs, job{i, j})
 		}
 	}
-	// Each worker owns one pooled Solver for its whole job stream, so the
-	// slab/scratch allocations of the first pair are amortized across all of
-	// them.
-	run := func(sv *Solver, jb job) {
-		res := sv.BFS(graphs[jb.i], graphs[jb.j], opts)
+	ForEach(context.Background(), len(jobs), workers, func(k int) {
+		jb := jobs[k]
+		res := BFS(graphs[jb.i], graphs[jb.j], opts)
 		d := res.Distance
 		if opts.Threshold > 0 && !res.Within(opts.Threshold) {
 			d = NotWithin
 		}
 		out[jb.i][jb.j] = d
 		out[jb.j][jb.i] = d
-	}
-	if workers <= 1 {
-		sv := AcquireSolver()
-		defer ReleaseSolver(sv)
-		for _, jb := range jobs {
-			run(sv, jb)
-		}
-		return out
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sv := AcquireSolver()
-			defer ReleaseSolver(sv)
-			for jb := range ch {
-				run(sv, jb)
-			}
-		}()
-	}
-	for _, jb := range jobs {
-		ch <- jb
-	}
-	close(ch)
-	wg.Wait()
+	})
 	return out
 }
 

@@ -58,8 +58,9 @@ func (o Options) maxExpansions() int64 {
 // distance, it neither tightens a bound nor proves exceedance.
 const unbounded = 1 << 30
 
-// tau is the solvers' threshold: Threshold, or unbounded when it is ≤ 0.
-func (o Options) tau() int {
+// Tau is the solvers' threshold: Threshold, or a value above every
+// distance when Threshold is ≤ 0. BFS is Within at opts.Tau().
+func (o Options) Tau() int {
 	if o.Threshold <= 0 {
 		return unbounded
 	}

@@ -6,6 +6,13 @@ import (
 	"hged/internal/hypergraph"
 )
 
+// compile returns g's compiled form.
+func compile(g *hypergraph.Hypergraph) *graphData {
+	d := new(graphData)
+	d.reset(g)
+	return d
+}
+
 func TestRerankNodesStrategy1(t *testing.T) {
 	// Labels: node 0,1 share label 1 (degrees 1 and 3); node 2 has label 2
 	// (degree 2). Group score of label 1 is 3 > 2, so the label-1 group
@@ -86,11 +93,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.maxExpansions() != defaultMaxExpansions {
 		t.Fatal("default expansion budget wrong")
 	}
-	if o.tau() != unbounded {
+	if o.Tau() != unbounded {
 		t.Fatal("zero threshold must mean unbounded")
 	}
 	o.Threshold = 5
-	if o.tau() != 5 {
+	if o.Tau() != 5 {
 		t.Fatal("positive threshold must bound the search")
 	}
 	o.MaxExpansions = 7

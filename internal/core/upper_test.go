@@ -44,19 +44,19 @@ func TestSampleMemoMatchesFreshRand(t *testing.T) {
 }
 
 // TestSolverResultsDoNotAliasSampleMemo scribbles over every returned
-// mapping and checks that a warm Solver still answers like a fresh one. A
+// mapping and checks that a warm solver still answers like a fresh one. A
 // budget of one expansion makes the Strategy-2 incumbent the answer, so a
 // winning random sample reaches the caller's Path.
 func TestSolverResultsDoNotAliasSampleMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	sv := NewSolver()
+	sv := new(solver)
 	sampleWins := 0
 	for i := 0; i < 400; i++ {
 		g, h := randomHypergraph(rng, 7, 5, 2), randomHypergraph(rng, 7, 5, 2)
 		opts := Options{MaxExpansions: 1}
 		for round := 0; round < 2; round++ {
-			got := sv.BFS(g, h, opts)
-			want := NewSolver().BFS(g, h, opts)
+			got, _ := sv.within(g, h, opts.Tau(), opts)
+			want, _ := new(solver).within(g, h, opts.Tau(), opts)
 			if got.Distance != want.Distance || fmt.Sprint(got.Path) != fmt.Sprint(want.Path) {
 				t.Fatalf("pair %d round %d: warm solver %d %v, fresh %d %v", i, round, got.Distance, got.Path, want.Distance, want.Path)
 			}
@@ -115,13 +115,12 @@ func TestBFSRootBoundShortCircuit(t *testing.T) {
 // TestDistanceWithinMatchesUnthresholded checks that the thresholded
 // search, short circuit included, agrees with an unthresholded solve on
 // random pairs, at every τ from 0 to the distance + 2: DistanceWithin and
-// Solver.Within under unit and weighted costs are within exactly when
-// HGED ≤ τ, and then report the exact distance. At an expansion cap of 2
-// Solver.Within may miss, but within always means Distance ≤ τ.
+// Within under unit and weighted costs are within exactly when HGED ≤ τ,
+// and then report the exact distance. At an expansion cap of 2 Within may
+// miss, but within always means Distance ≤ τ.
 func TestDistanceWithinMatchesUnthresholded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	weighted := CostModel{Node: 2, Edge: 3, Incidence: 1, NodeRelabel: 2, EdgeRelabel: 4}
-	sv := NewSolver()
 	for i := 0; i < 200; i++ {
 		g, h := randomHypergraph(rng, 5, 4, 3), randomHypergraph(rng, 5, 4, 3)
 		for _, costs := range []*CostModel{nil, &weighted} {
@@ -133,11 +132,11 @@ func TestDistanceWithinMatchesUnthresholded(t *testing.T) {
 						t.Fatalf("pair %d τ %d: DistanceWithin = (%d, %v), exact HGED %d", i, tau, d, ok, exact)
 					}
 				}
-				res, ok := sv.Within(g, h, tau, Options{Costs: costs})
+				res, ok := Within(g, h, tau, Options{Costs: costs})
 				if ok != (exact <= tau) || (ok && res.Distance != exact) || ok != res.Within(tau) {
 					t.Fatalf("pair %d costs %v τ %d: Within = (%+v, %v), exact HGED %d", i, costs, tau, res, ok, exact)
 				}
-				res, ok = sv.Within(g, h, tau, Options{Costs: costs, MaxExpansions: 2})
+				res, ok = Within(g, h, tau, Options{Costs: costs, MaxExpansions: 2})
 				if ok && (res.Distance > tau || res.Distance < exact) {
 					t.Fatalf("pair %d costs %v τ %d cap 2: within at distance %d, exact HGED %d", i, costs, tau, res.Distance, exact)
 				}

@@ -41,9 +41,6 @@ func TestSortedAgainstCounts(t *testing.T) {
 		if got, want := PsiSortedSized(sa, sb, len(a), len(b)), Psi(ca, cb); got != want {
 			t.Fatalf("trial %d: PsiSortedSized = %d, map path = %d", trial, got, want)
 		}
-		if got, want := PsiLabels(a, b), Psi(ca, cb); got != want {
-			t.Fatalf("trial %d: PsiLabels = %d, map path = %d", trial, got, want)
-		}
 	}
 }
 

@@ -86,17 +86,6 @@ func Psi(a, b Counts) int {
 	return m - IntersectionSize(a, b)
 }
 
-// PsiLabels is Psi applied directly to label slices. It runs on the dense
-// sorted-slice path (two sorts and a merge walk) rather than building maps.
-func PsiLabels(a, b []hypergraph.Label) int {
-	sa, sb := SortedFromLabels(a), SortedFromLabels(b)
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	return m - IntersectionSizeSorted(sa, sb)
-}
-
 // Sorted is the dense multiset representation behind the batched filter
 // stage: parallel slices of unique labels (ascending) and their
 // multiplicities. Unlike Counts it is allocation-stable — a Sorted can view

@@ -15,14 +15,17 @@ func lbl(xs ...int) []hypergraph.Label {
 	return out
 }
 
+// psiOf is Psi over two label slices.
+func psiOf(a, b []hypergraph.Label) int { return Psi(FromLabels(a), FromLabels(b)) }
+
 func TestPsiPaperExample(t *testing.T) {
 	// Paper, after Definition 5: nodes {A,A,B,C} vs {A,B,B,C} → 4−3 = 1,
 	// hyperedges {a,a,b} vs {b,b,c} → 3−1 = 2, total 3.
-	nodes := PsiLabels(lbl(1, 1, 2, 3), lbl(1, 2, 2, 3))
+	nodes := psiOf(lbl(1, 1, 2, 3), lbl(1, 2, 2, 3))
 	if nodes != 1 {
 		t.Fatalf("node Ψ = %d, want 1", nodes)
 	}
-	edges := PsiLabels(lbl(10, 10, 11), lbl(11, 11, 12))
+	edges := psiOf(lbl(10, 10, 11), lbl(11, 11, 12))
 	if edges != 2 {
 		t.Fatalf("edge Ψ = %d, want 2", edges)
 	}
@@ -32,22 +35,22 @@ func TestPsiPaperExample(t *testing.T) {
 }
 
 func TestPsiIdentical(t *testing.T) {
-	if got := PsiLabels(lbl(1, 2, 3), lbl(3, 2, 1)); got != 0 {
+	if got := psiOf(lbl(1, 2, 3), lbl(3, 2, 1)); got != 0 {
 		t.Fatalf("Ψ of equal multisets = %d, want 0", got)
 	}
 }
 
 func TestPsiDisjoint(t *testing.T) {
-	if got := PsiLabels(lbl(1, 1), lbl(2, 2, 2)); got != 3 {
+	if got := psiOf(lbl(1, 1), lbl(2, 2, 2)); got != 3 {
 		t.Fatalf("Ψ = %d, want 3", got)
 	}
 }
 
 func TestPsiEmpty(t *testing.T) {
-	if got := PsiLabels(nil, lbl(5, 5)); got != 2 {
+	if got := psiOf(nil, lbl(5, 5)); got != 2 {
 		t.Fatalf("Ψ(∅, {5,5}) = %d, want 2", got)
 	}
-	if got := PsiLabels(nil, nil); got != 0 {
+	if got := psiOf(nil, nil); got != 0 {
 		t.Fatalf("Ψ(∅, ∅) = %d, want 0", got)
 	}
 }
@@ -109,7 +112,7 @@ func TestPsiSymmetricProperty(t *testing.T) {
 		for i, x := range b {
 			lb[i] = hypergraph.Label(x % 8)
 		}
-		return PsiLabels(la, lb) == PsiLabels(lb, la)
+		return psiOf(la, lb) == psiOf(lb, la)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -127,7 +130,7 @@ func TestPsiTriangleLikeProperties(t *testing.T) {
 		for i, x := range b {
 			lb[i] = hypergraph.Label(x % 5)
 		}
-		psi := PsiLabels(la, lb)
+		psi := psiOf(la, lb)
 		diff := len(a) - len(b)
 		if diff < 0 {
 			diff = -diff

@@ -76,7 +76,7 @@ func TestPsiTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := PsiLabels(tc.a, tc.b); got != tc.want {
+			if got := psiOf(tc.a, tc.b); got != tc.want {
 				t.Errorf("Psi(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 			}
 		})

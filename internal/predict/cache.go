@@ -176,29 +176,18 @@ func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hype
 	}
 }
 
-// solve runs the configured HGED solver with the given threshold and
-// converts the result to a cache entry. A result within the budget is
-// cached as the distance; under an expansion cap it is an upper bound,
-// which still certifies "within budget". Any other result, a capped upper
-// bound above the budget included, is conservatively "not within", as the
-// budget-capped paper variants behave.
+// solve runs the configured HGED solver as a verification at the budget
+// (Algorithm.Within) and converts the result to a cache entry. A result
+// within the budget is cached as the distance; under an expansion cap it
+// is an upper bound, which still certifies "within budget". Any other
+// result, a capped upper bound above the budget included, is
+// conservatively "not within", as the budget-capped paper variants behave.
 func (c *pairCache) solve(eu, ev *hypergraph.Hypergraph, budget int) cacheEntry {
-	opts := core.Options{Threshold: budget, MaxExpansions: c.maxExp}
-	var res core.Result
-	switch c.solver {
-	case AlgDFS:
-		res = core.DFS(eu, ev, opts)
-	case AlgHEU:
-		res = core.HEU(eu, ev, opts)
-	default:
-		sv := core.AcquireSolver()
-		res, _ = sv.Within(eu, ev, budget, opts)
-		core.ReleaseSolver(sv)
-	}
+	res, within := c.solver.Within(eu, ev, budget, core.Options{MaxExpansions: c.maxExp})
 	c.mu.Lock()
 	c.expanded += res.Expanded
 	c.mu.Unlock()
-	if !res.Within(budget) {
+	if !within {
 		return cacheEntry{Bound: int32(budget)}
 	}
 	return cacheEntry{Dist: int32(res.Distance), Exact: true}

@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"hged/internal/core"
@@ -49,6 +50,39 @@ const (
 	// AlgHEU uses HGED-HEU: a heuristic upper-bound instance.
 	AlgHEU
 )
+
+// ParseAlgorithm maps a solver name — bfs, dfs or heu, in any case; the
+// empty name is bfs — to its Algorithm.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "bfs":
+		return AlgBFS, nil
+	case "dfs":
+		return AlgDFS, nil
+	case "heu":
+		return AlgHEU, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want bfs, dfs or heu)", name)
+}
+
+// Within verifies HGED(g, h) ≤ tau with a's solver and reports
+// res.Within(tau). HGED-BFS is core.Within, bounded at tau itself at every
+// tau, 0 included; HGED-DFS and HGED-HEU run with tau as their threshold
+// (opts.Threshold is ignored), which at 0 is their unbounded search. A
+// plain solve, where a zero Threshold means none, passes opts.Tau().
+func (a Algorithm) Within(g, h *hypergraph.Hypergraph, tau int, opts core.Options) (core.Result, bool) {
+	opts.Threshold = tau
+	var res core.Result
+	switch a {
+	case AlgDFS:
+		res = core.DFS(g, h, opts)
+	case AlgHEU:
+		res = core.HEU(g, h, opts)
+	default:
+		return core.Within(g, h, tau, opts)
+	}
+	return res, res.Within(tau)
+}
 
 func (a Algorithm) String() string {
 	switch a {
@@ -88,9 +122,10 @@ type Options struct {
 	// MaxExpansions bounds each individual HGED search (0 = solver
 	// default).
 	MaxExpansions int64
-	// Parallelism, when > 1, processes seeds concurrently with this many
-	// workers. Predictions are identical (the output is sorted and
-	// deduplicated); only wall-clock changes. 0 and 1 mean sequential.
+	// Parallelism, when > 1, processes seeds concurrently through
+	// core.ForEach on this many workers (at most one per seed).
+	// Predictions are identical (the output is sorted and deduplicated);
+	// only wall-clock changes. 0 and 1 mean sequential.
 	Parallelism int
 }
 
@@ -238,36 +273,13 @@ func (p *Predictor) RunContext(ctx context.Context, progress func(done, total in
 		progress(d, total)
 	}
 
-	// One worker takes the seeds in order, so a sequential run's work
-	// counters do not depend on scheduling.
-	workers := max(p.opts.Parallelism, 1)
+	// A sequential run takes the seeds in order, so its work counters do
+	// not depend on scheduling.
 	results := make([][]Prediction, len(seeds))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				if ctx.Err() != nil {
-					continue // drain the channel without working
-				}
-				results[i] = p.processSeed(seeds[i])
-				report()
-			}
-		}()
-	}
-feed:
-	for i := range seeds {
-		select {
-		case ch <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if _, err := core.ForEach(ctx, len(seeds), p.opts.Parallelism, func(i int) {
+		results[i] = p.processSeed(seeds[i])
+		report()
+	}); err != nil {
 		return nil, err
 	}
 
@@ -446,7 +458,7 @@ func (p *Predictor) peel(s []hypergraph.NodeID) []hypergraph.NodeID {
 	return s
 }
 
-// Verify checks Definition 4 for a node set S with Solver.Within: every pair
+// Verify checks Definition 4 for a node set S with core.Within: every pair
 // of neighbors in the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and
 // every pair of nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run
 // satisfies Verify with the predictor's own λ and τ.
@@ -457,8 +469,6 @@ func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bo
 	for i := range egos {
 		egos[i] = sub.Ego(hypergraph.NodeID(i))
 	}
-	sv := core.AcquireSolver()
-	defer core.ReleaseSolver(sv)
 	lambdaTau := lambda * tau
 	for i := 0; i < n; i++ {
 		nbrs := make(map[hypergraph.NodeID]struct{})
@@ -470,7 +480,7 @@ func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bo
 			if _, isNbr := nbrs[hypergraph.NodeID(j)]; isNbr {
 				budget = tau
 			}
-			if _, ok := sv.Within(egos[i], egos[j], budget, core.Options{}); !ok {
+			if _, ok := core.Within(egos[i], egos[j], budget, core.Options{}); !ok {
 				return false
 			}
 		}

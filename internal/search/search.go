@@ -6,8 +6,9 @@
 // cheap per-graph signatures prune candidates with admissible lower bounds,
 // and only survivors pay for an exact HGED-BFS verification.
 //
-// Verification is embarrassingly parallel, so an Index can fan it out over
-// a bounded pool of pooled solvers (Index.Parallelism). The engine is
+// Verification is embarrassingly parallel, so an Index fans it out through
+// core.ForEach over Index.Parallelism workers, each verification a
+// core.Within on a pooled solver (core owns the pool). The engine is
 // deterministic by construction: the candidate set and every verification
 // threshold are fixed before workers start, workers write results into
 // per-candidate slots, and the merge walks those slots in candidate order —
@@ -21,8 +22,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hged/internal/core"
 	"hged/internal/hypergraph"
@@ -165,9 +164,10 @@ type Index struct {
 	mem    spliceMem // set by Splice: the arrays graphs and sigs are windows of
 	// MaxExpansions caps each verification search (0 = solver default).
 	MaxExpansions int64
-	// Parallelism is the number of verification workers, each with its own
-	// pooled solver. Values ≤ 1 verify sequentially on one solver. Matches
-	// and stats are identical at every setting; only wall-clock changes.
+	// Parallelism is the number of core.ForEach verification workers,
+	// clamped to the number of candidates; each verification takes a warm
+	// solver from core's pool. Values ≤ 1 verify sequentially. Matches and
+	// stats are identical at every setting; only wall-clock changes.
 	Parallelism int
 }
 
@@ -434,8 +434,8 @@ func (ix *Index) SearchContext(ctx context.Context, q *hypergraph.Hypergraph, ta
 	}
 
 	results := make([]outcome, len(survivors))
-	done, err := ix.forEach(ctx, len(survivors), func(sv *core.Solver, j int) {
-		results[j] = ix.verify(ctx, sv, q, ix.graphs[survivors[j]], tau)
+	done, err := core.ForEach(ctx, len(survivors), ix.Parallelism, func(j int) {
+		results[j] = ix.verify(ctx, q, ix.graphs[survivors[j]], tau)
 	})
 	stats.Verified = done
 	if err != nil {
@@ -453,62 +453,11 @@ func (ix *Index) SearchContext(ctx context.Context, q *hypergraph.Hypergraph, ta
 	return out, stats, nil
 }
 
-// forEach runs n verification tasks, each on a pooled solver: sequentially
-// when Parallelism ≤ 1, otherwise on min(Parallelism, n) workers pulling
-// task indices from a shared counter. It reports how many tasks completed
-// and a non-nil error when ctx was cancelled before all n ran. Tasks must
-// write only state indexed by their own task number, so the caller's merge
-// over those slots is deterministic regardless of scheduling.
-func (ix *Index) forEach(ctx context.Context, n int, task func(sv *core.Solver, j int)) (int, error) {
-	workers := ix.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sv := core.AcquireSolver()
-		defer core.ReleaseSolver(sv)
-		for j := 0; j < n; j++ {
-			if ctx.Err() != nil {
-				return j, ctx.Err()
-			}
-			task(sv, j)
-		}
-		return n, nil
-	}
-	var (
-		next atomic.Int64
-		done atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sv := core.AcquireSolver()
-			defer core.ReleaseSolver(sv)
-			for {
-				j := int(next.Add(1) - 1)
-				if j >= n || ctx.Err() != nil {
-					return
-				}
-				task(sv, j)
-				done.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return int(done.Load()), err
-	}
-	return n, nil
-}
-
 // verify reports whether HGED(q, g) ≤ tau, with the distance when it is,
-// through Solver.Within on the given solver (each worker owns its solver
-// for the duration of a search, keeping verification allocation-light). A
-// capped verification accepts its BFS incumbent only when it is ≤ tau.
-func (ix *Index) verify(ctx context.Context, sv *core.Solver, q, g *hypergraph.Hypergraph, tau int) outcome {
-	res, ok := sv.Within(q, g, tau, core.Options{MaxExpansions: ix.MaxExpansions, Context: ctx})
+// through core.Within. A capped verification accepts its BFS incumbent
+// only when it is ≤ tau.
+func (ix *Index) verify(ctx context.Context, q, g *hypergraph.Hypergraph, tau int) outcome {
+	res, ok := core.Within(q, g, tau, core.Options{MaxExpansions: ix.MaxExpansions, Context: ctx})
 	return outcome{d: res.Distance, within: ok}
 }
 
@@ -591,13 +540,13 @@ func (ix *Index) NearestContext(ctx context.Context, q *hypergraph.Hypergraph, k
 			break // every later candidate sorts after (τ, wid) too
 		}
 		base, res := pos, make([]outcome, end-pos)
-		done, err := ix.forEach(ctx, len(res), func(sv *core.Solver, j int) {
+		done, err := core.ForEach(ctx, len(res), ix.Parallelism, func(j int) {
 			c := cands[base+j]
 			t := tau
 			if c.id > wid {
 				t = tau - 1 // at distance τ it would lose the tie to wid
 			}
-			res[j] = ix.verify(ctx, sv, q, ix.graphs[c.id], t)
+			res[j] = ix.verify(ctx, q, ix.graphs[c.id], t)
 		})
 		if err != nil {
 			stats.Verified += done

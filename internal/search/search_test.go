@@ -226,24 +226,22 @@ func TestNearestTieLoserVerifiedStrictly(t *testing.T) {
 }
 
 // TestVerifyZeroThresholdMatchesIsomorphic: verification at τ = 0 — a
-// Solver.Within bounded at 0 itself, which pushes only f = 0 states —
+// core.Within bounded at 0 itself, which pushes only f = 0 states —
 // agrees with the isomorphism test on every pair of the churn-shaped and
 // planted corpora, called directly and through the index's verify.
 func TestVerifyZeroThresholdMatchesIsomorphic(t *testing.T) {
 	planted, _ := plantedCorpus(t)
-	sv := core.AcquireSolver()
-	defer core.ReleaseSolver(sv)
 	for name, graphs := range map[string][]*hypergraph.Hypergraph{"churn": gen.ChurnCorpus(), "planted": planted} {
 		ix := Build(graphs)
 		isomorphic := 0
 		for i, q := range graphs {
 			for j, g := range graphs {
 				iso := hypergraph.Isomorphic(q, g)
-				res, ok := sv.Within(q, g, 0, core.Options{})
+				res, ok := core.Within(q, g, 0, core.Options{})
 				if ok != iso || ok && res.Distance != 0 {
 					t.Fatalf("%s (%d, %d): Within at τ=0 = (%+v, %v), Isomorphic = %v", name, i, j, res, ok, iso)
 				}
-				got := ix.verify(context.Background(), sv, q, g, 0)
+				got := ix.verify(context.Background(), q, g, 0)
 				if got.within != iso || iso && got.d != 0 {
 					t.Fatalf("%s (%d, %d): verify at τ=0 = %+v, Isomorphic = %v", name, i, j, got, iso)
 				}

@@ -53,19 +53,6 @@ func (s *Server) graphOr404(w http.ResponseWriter, r *http.Request) (*GraphEntry
 	return e, ok
 }
 
-// parseAlgorithm maps a wire name to a HEP solver choice.
-func parseAlgorithm(name string) (hged.PredictAlgorithm, error) {
-	switch strings.ToLower(name) {
-	case "", "bfs":
-		return hged.AlgBFS, nil
-	case "dfs":
-		return hged.AlgDFS, nil
-	case "heu":
-		return hged.AlgHEU, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want bfs, dfs or heu)", name)
-}
-
 // maxSyncExpansions caps the per-request HGED expansion budget of
 // synchronous queries; requests may ask for less, never more.
 const maxSyncExpansions = 2_000_000
@@ -350,22 +337,14 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	alg, err := parseAlgorithm(req.Solver)
+	alg, err := hged.ParseAlgorithm(req.Solver)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opts := hged.Options{Threshold: req.Tau, MaxExpansions: capExpansions(req.MaxExpansions), Costs: req.Costs}
 	eu, ev := g.Ego(hged.NodeID(req.U)), g.Ego(hged.NodeID(req.V))
-	var res hged.Result
-	switch alg {
-	case hged.AlgDFS:
-		res = hged.DFS(eu, ev, opts)
-	case hged.AlgHEU:
-		res = hged.HEU(eu, ev, opts)
-	default:
-		res = hged.BFS(eu, ev, opts)
-	}
+	res, within := alg.Within(eu, ev, opts.Tau(), opts)
 	s.metrics.addExpansions(res.Expanded)
 
 	resp := distanceResponse{
@@ -376,7 +355,6 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		Expanded: res.Expanded,
 	}
 	if req.Tau > 0 {
-		within := res.Within(req.Tau)
 		resp.Within = &within
 	}
 	if req.Explain && res.Path != nil {
@@ -432,7 +410,7 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "budget = %d, must be > 0", req.Budget)
 		return
 	}
-	alg, err := parseAlgorithm(req.Solver)
+	alg, err := hged.ParseAlgorithm(req.Solver)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -471,16 +449,26 @@ type searchQuery struct {
 	Data   string `json:"data,omitempty"` // ...or an inline one
 }
 
-// maxSearchParallelism caps the per-request verification worker count.
-const maxSearchParallelism = 32
+// maxParallelism caps the per-request worker count of /search
+// verification and /predict seed processing.
+const maxParallelism = 32
+
+// capParallelism checks a client-requested worker count: a negative one is
+// an error, one above maxParallelism is clamped to it.
+func capParallelism(p int) (int, error) {
+	if p < 0 {
+		return 0, fmt.Errorf("parallelism = %d, must be ≥ 0", p)
+	}
+	return min(p, maxParallelism), nil
+}
 
 type searchRequest struct {
 	Query         searchQuery `json:"query"`
 	Tau           int         `json:"tau,omitempty"` // range search when > 0 or K == 0
 	K             int         `json:"k,omitempty"`   // kNN when > 0
 	MaxExpansions int64       `json:"maxExpansions"`
-	// Parallelism fans verification out over this many pooled solvers
-	// (clamped to maxSearchParallelism); results are identical at every
+	// Parallelism fans verification out over this many workers
+	// (clamped to maxParallelism); results are identical at every
 	// setting. 0 or 1 verifies sequentially.
 	Parallelism int `json:"parallelism"`
 }
@@ -525,8 +513,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "query needs a graph name or inline data")
 		return
 	}
-	if req.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "parallelism = %d, must be ≥ 0", req.Parallelism)
+	parallelism, err := capParallelism(req.Parallelism)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The published corpus version already holds every write that
@@ -538,10 +527,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer c.unpin()
 	ix := *c.ix
 	ix.MaxExpansions = capExpansions(req.MaxExpansions)
-	ix.Parallelism = req.Parallelism
-	if ix.Parallelism > maxSearchParallelism {
-		ix.Parallelism = maxSearchParallelism
-	}
+	ix.Parallelism = parallelism
 	// The request context is cancelled by http.TimeoutHandler at the
 	// response deadline and by client disconnects, so an abandoned scan
 	// stops instead of running the corpus to completion.
@@ -549,7 +535,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var (
 		matches []hged.SearchMatch
 		stats   hged.FilterStats
-		err     error
 	)
 	if req.K > 0 {
 		matches, stats, err = ix.NearestContext(r.Context(), q, req.K)
@@ -597,7 +582,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, 1<<20, &req) {
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
+	alg, err := hged.ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	parallelism, err := capParallelism(req.Parallelism)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -606,7 +596,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Lambda:          req.Lambda,
 		Tau:             req.Tau,
 		Algorithm:       alg,
-		Parallelism:     req.Parallelism,
+		Parallelism:     parallelism,
 		MinSize:         req.MinSize,
 		MaxSize:         req.MaxSize,
 		MaxExpansions:   req.MaxExpansions,

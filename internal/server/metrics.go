@@ -228,7 +228,8 @@ type MetricsSnapshot struct {
 		Graphs int    `json:"graphs"`
 	} `json:"snapshot"`
 	// SolverPool reports the process-wide pooled-solver reuse rate: hits
-	// are acquisitions served by a warm Solver, misses allocated fresh.
+	// are core.Within calls served by a warm solver, misses allocated
+	// fresh.
 	SolverPool struct {
 		Hits   int64 `json:"hits"`
 		Misses int64 `json:"misses"`
@@ -272,6 +273,6 @@ func (m *Metrics) snapshot(reg *Registry, jobs *JobManager) MetricsSnapshot {
 		snap.Versions.PinnedReaders += e.vg.PinnedReaders()
 	}
 	snap.Jobs.Queued, snap.Jobs.Running = jobs.gauges()
-	snap.SolverPool.Hits, snap.SolverPool.Misses = core.SolverPoolStats()
+	snap.SolverPool.Hits, snap.SolverPool.Misses = core.PoolStats()
 	return snap
 }

@@ -513,3 +513,28 @@ func TestRequestBodyValidation(t *testing.T) {
 		t.Fatalf("unknown field status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestPredictParallelismCapped: /predict rejects a negative parallelism
+// with 400, as /search does, and clamps one above the cap (32) to it; the
+// job reports the worker count it runs with.
+func TestPredictParallelismCapped(t *testing.T) {
+	env := newTestEnv(t, server.Config{})
+	if code := env.do("POST", "/v1/graphs/fig1/predict", map[string]any{"parallelism": -1}, nil); code != 400 {
+		t.Fatalf("negative parallelism status %d, want 400", code)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if code := env.do("POST", "/v1/graphs/fig1/predict", map[string]any{"lambda": 2, "tau": 3, "parallelism": 33}, &sub); code != 202 {
+		t.Fatalf("submit status %d", code)
+	}
+	var job struct {
+		Parallelism int `json:"parallelism"`
+	}
+	if code := env.do("GET", "/v1/jobs/"+sub.ID, nil, &job); code != 200 {
+		t.Fatalf("poll status %d", code)
+	}
+	if job.Parallelism != 32 {
+		t.Fatalf("job parallelism = %d, want the cap 32", job.Parallelism)
+	}
+}
