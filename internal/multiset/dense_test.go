@@ -8,6 +8,30 @@ import (
 	"hged/internal/hypergraph"
 )
 
+// sortedFromLabels builds the dense multiset of a label slice by sorting a
+// copy. The tests use it to build Sorted inputs from plain label slices.
+func sortedFromLabels(labels []hypergraph.Label) Sorted {
+	if len(labels) == 0 {
+		return Sorted{}
+	}
+	ls := make([]hypergraph.Label, len(labels))
+	copy(ls, labels)
+	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// The unique labels are compacted into ls's own backing array: the
+	// write position never passes the read position, so no extra slice.
+	s := Sorted{Labels: ls[:0], Counts: make([]int32, 0, 8)}
+	for i := 0; i < len(ls); {
+		j := i + 1
+		for j < len(ls) && ls[j] == ls[i] {
+			j++
+		}
+		s.Labels = append(s.Labels, ls[i])
+		s.Counts = append(s.Counts, int32(j-i))
+		i = j
+	}
+	return s
+}
+
 // randLabels draws a label slice with many collisions so multiplicities > 1
 // are common.
 func randLabels(rng *rand.Rand, n int) []hypergraph.Label {
@@ -27,7 +51,7 @@ func TestSortedAgainstCounts(t *testing.T) {
 		a := randLabels(rng, rng.Intn(20))
 		b := randLabels(rng, rng.Intn(20))
 		ca, cb := FromLabels(a), FromLabels(b)
-		sa, sb := SortedFromLabels(a), SortedFromLabels(b)
+		sa, sb := sortedFromLabels(a), sortedFromLabels(b)
 
 		if sa.Size() != ca.Size() {
 			t.Fatalf("trial %d: Sorted.Size = %d, Counts.Size = %d", trial, sa.Size(), ca.Size())
@@ -47,7 +71,7 @@ func TestSortedAgainstCounts(t *testing.T) {
 // TestSortedShape asserts the representation invariants: ascending unique
 // labels with positive parallel counts.
 func TestSortedShape(t *testing.T) {
-	s := SortedFromLabels([]hypergraph.Label{5, 1, 5, 3, 1, 1})
+	s := sortedFromLabels([]hypergraph.Label{5, 1, 5, 3, 1, 1})
 	wantLabels := []hypergraph.Label{1, 3, 5}
 	wantCounts := []int32{3, 1, 2}
 	if len(s.Labels) != len(wantLabels) || len(s.Counts) != len(wantCounts) {
@@ -58,7 +82,7 @@ func TestSortedShape(t *testing.T) {
 			t.Fatalf("got %v/%v, want %v/%v", s.Labels, s.Counts, wantLabels, wantCounts)
 		}
 	}
-	empty := SortedFromLabels(nil)
+	empty := sortedFromLabels(nil)
 	if len(empty.Labels) != 0 || empty.Size() != 0 {
 		t.Fatalf("empty multiset is %v, size %d", empty.Labels, empty.Size())
 	}

@@ -96,29 +96,6 @@ type Sorted struct {
 	Counts []int32            // parallel to Labels, all > 0
 }
 
-// SortedFromLabels builds the dense multiset of a label slice.
-func SortedFromLabels(labels []hypergraph.Label) Sorted {
-	if len(labels) == 0 {
-		return Sorted{}
-	}
-	ls := make([]hypergraph.Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	// The unique labels are compacted into ls's own backing array: the
-	// write position never passes the read position, so no extra slice.
-	s := Sorted{Labels: ls[:0], Counts: make([]int32, 0, 8)}
-	for i := 0; i < len(ls); {
-		j := i + 1
-		for j < len(ls) && ls[j] == ls[i] {
-			j++
-		}
-		s.Labels = append(s.Labels, ls[i])
-		s.Counts = append(s.Counts, int32(j-i))
-		i = j
-	}
-	return s
-}
-
 // SortedFromInterned builds the dense multiset of an interned-label-id
 // slice (ids index into dict, a graph's dense label dictionary — see
 // hypergraph.CSR). Multiplicities accumulate in one pass over a dense

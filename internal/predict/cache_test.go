@@ -9,10 +9,10 @@ import (
 	"hged/internal/hypergraph"
 )
 
-// TestCtxInternerCollisionFree checks that distinct context node sets never
-// share an interned id (collision-checked hashing), that equal sets — even
-// via distinct slices — intern to the same id, and that the memo key
-// canonicalizes the pair order.
+// TestCtxInternerCollisionFree checks that distinct context ego node sets
+// never share an interned id (collision-checked hashing), that equal sets —
+// even via distinct slices, and within one interning round — intern to the
+// same id, and that the memo key canonicalizes the pair order.
 func TestCtxInternerCollisionFree(t *testing.T) {
 	c := newPairCache(twoCommunities(), Options{Lambda: 3, Tau: 5, MaxEgoNodes: 64}, nil)
 	sets := [][]hypergraph.NodeID{
@@ -27,24 +27,29 @@ func TestCtxInternerCollisionFree(t *testing.T) {
 	}
 	ids := make(map[int32][]hypergraph.NodeID)
 	for _, s := range sets {
-		id := c.internCtx(s)
+		egos := []egoRef{{set: s}}
+		c.internEgos(egos)
+		id := egos[0].id
 		if prev, seen := ids[id]; seen {
 			t.Fatalf("interner collision: %v and %v both map to id %d", prev, s, id)
 		}
 		ids[id] = s
 	}
+	round := make([]egoRef, 0, 2*len(sets))
 	for _, s := range sets {
-		again := append([]hypergraph.NodeID(nil), s...)
-		id := c.internCtx(again)
-		if !slices.Equal(ids[id], s) {
-			t.Fatalf("re-interning %v yielded id %d of %v", s, id, ids[id])
+		round = append(round, egoRef{set: append([]hypergraph.NodeID(nil), s...)}, egoRef{set: slices.Clone(s)})
+	}
+	c.internEgos(round)
+	for i, e := range round {
+		if !slices.Equal(ids[e.id], sets[i/2]) {
+			t.Fatalf("re-interning %v yielded id %d of %v", sets[i/2], e.id, ids[e.id])
 		}
 	}
-	if newSigmaKey(7, 3, 9) != newSigmaKey(7, 9, 3) {
+	if newSigmaKey(egoPair, 3, 9) != newSigmaKey(egoPair, 9, 3) {
 		t.Fatal("newSigmaKey must canonicalize the pair order")
 	}
-	if newSigmaKey(7, 3, 9) == newSigmaKey(8, 3, 9) || newSigmaKey(0, 3, 9) == newSigmaKey(fullGraph, 3, 9) {
-		t.Fatal("distinct contexts must produce distinct keys")
+	if newSigmaKey(egoPair, 3, 9) == newSigmaKey(egoPair, 3, 8) || newSigmaKey(egoPair, 3, 9) == newSigmaKey(fullGraph, 3, 9) {
+		t.Fatal("distinct ego pairs, and a node pair with the same ids, must produce distinct keys")
 	}
 }
 

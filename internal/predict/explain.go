@@ -13,16 +13,25 @@ import (
 type Explanation struct {
 	U, V     hypergraph.NodeID
 	Distance int
-	Path     *core.Path
-	namer    *core.Namer
+	// Exact is false when the search hit the predictor's MaxExpansions
+	// first: Distance and Path are then the best incumbent found, an upper
+	// bound on σ(u, v).
+	Exact bool
+	Path  *core.Path
+	namer *core.Namer
 }
 
 // Lines renders the edit path as human-readable sentences.
 func (e *Explanation) Lines() []string { return core.Explain(e.Path, e.namer) }
 
-// String renders the numbered narrative.
+// String renders the numbered narrative, headed "σ(u,v) = d", or
+// "σ(u,v) ≤ d (capped)" when the distance is only an upper bound.
 func (e *Explanation) String() string {
-	return fmt.Sprintf("σ(%d,%d) = %d:\n%s", e.U, e.V, e.Distance, core.ExplainString(e.Path, e.namer))
+	head := fmt.Sprintf("σ(%d,%d) = %d", e.U, e.V, e.Distance)
+	if !e.Exact {
+		head = fmt.Sprintf("σ(%d,%d) ≤ %d (capped)", e.U, e.V, e.Distance)
+	}
+	return head + ":\n" + core.ExplainString(e.Path, e.namer)
 }
 
 // PredictionExplanation justifies one predicted (λ,τ)-hyperedge: for every
@@ -36,6 +45,9 @@ type PredictionExplanation struct {
 	// path — the weakest structural link holding the prediction together.
 	WorstPair [2]hypergraph.NodeID
 	WorstPath *core.Path
+	// WorstExact is false when the worst pair's search hit the predictor's
+	// MaxExpansions: its σ and path are then an upper bound.
+	WorstExact bool
 }
 
 // ExplainPrediction computes, inside the induced sub-hypergraph of the
@@ -62,6 +74,7 @@ func (p *Predictor) ExplainPrediction(pred Prediction) (*PredictionExplanation, 
 				worst = res.Distance
 				ex.WorstPair = [2]hypergraph.NodeID{sub.OrigID(hypergraph.NodeID(i)), sub.OrigID(hypergraph.NodeID(j))}
 				ex.WorstPath = res.Path
+				ex.WorstExact = res.Exact
 			}
 		}
 	}
@@ -80,5 +93,5 @@ func (p *Predictor) Explain(u, v hypergraph.NodeID) (*Explanation, error) {
 	if res.Path == nil {
 		return nil, fmt.Errorf("predict: no edit path found for (%d,%d)", u, v)
 	}
-	return &Explanation{U: u, V: v, Distance: res.Distance, Path: res.Path, namer: core.EgoNamer(eu)}, nil
+	return &Explanation{U: u, V: v, Distance: res.Distance, Exact: res.Exact, Path: res.Path, namer: core.EgoNamer(eu)}, nil
 }

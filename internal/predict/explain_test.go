@@ -1,8 +1,11 @@
 package predict
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"hged/internal/gen"
 	"hged/internal/hypergraph"
 )
 
@@ -63,5 +66,56 @@ func TestExplainPredictionTooSmall(t *testing.T) {
 	p, _ := New(g, Options{})
 	if _, err := p.ExplainPrediction(Prediction{Nodes: []hypergraph.NodeID{0}}); err == nil {
 		t.Fatal("singleton prediction must error")
+	}
+}
+
+// TestExplainCappedIsLabelled checks that an explanation whose search hit
+// MaxExpansions says so: Exact is false and String prints "σ(u,v) ≤ d
+// (capped)", while the uncapped explanation of the same pair is exact, no
+// larger, and printed "σ(u,v) = d". The worst pair of ExplainPrediction
+// carries the same flag.
+func TestExplainCappedIsLabelled(t *testing.T) {
+	g, _, err := gen.PlantedCommunities(gen.Config{Nodes: 16, Edges: 20, MeanEdgeSize: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, _ := New(g, Options{MaxExpansions: 1})
+	exact, _ := New(g, Options{MaxExpansions: 200_000})
+
+	ex, err := capped.Explain(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Exact {
+		t.Fatal("σ(0,2) proved within one expansion; the test checks nothing")
+	}
+	if want := fmt.Sprintf("σ(0,2) ≤ %d (capped):", ex.Distance); !strings.HasPrefix(ex.String(), want) {
+		t.Fatalf("capped explanation reads %q, want prefix %q", ex.String(), want)
+	}
+	full, err := exact.Explain(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Exact || full.Distance > ex.Distance {
+		t.Fatalf("uncapped σ(0,2) = %d (exact %v) against capped incumbent %d", full.Distance, full.Exact, ex.Distance)
+	}
+	if want := fmt.Sprintf("σ(0,2) = %d:", full.Distance); !strings.HasPrefix(full.String(), want) {
+		t.Fatalf("exact explanation reads %q, want prefix %q", full.String(), want)
+	}
+
+	// Inside NEI(0), the worst pair's search needs more than one
+	// expansion.
+	pred := Prediction{Nodes: g.Neighbors(0)}
+	for _, c := range []struct {
+		p     *Predictor
+		exact bool
+	}{{capped, false}, {exact, true}} {
+		ex, err := c.p.ExplainPrediction(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.WorstExact != c.exact {
+			t.Fatalf("worst pair %v has WorstExact %v, want %v", ex.WorstPair, ex.WorstExact, c.exact)
+		}
 	}
 }

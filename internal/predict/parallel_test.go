@@ -61,35 +61,45 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestRunContextProgress checks the progress callback contract: an initial
-// (0, total) call, then one call per seed ending at (total, total).
+// (0, total) call, then one call per seed ending at (total, total), with
+// done strictly ascending — also when four workers report concurrently.
 func TestRunContextProgress(t *testing.T) {
-	g := twoCommunities()
-	p, err := New(g, Options{Lambda: 2, Tau: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls [][2]int
-	preds, err := p.RunContext(context.Background(), func(done, total int) {
-		calls = append(calls, [2]int{done, total})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) == 0 {
-		t.Fatal("progress never called")
-	}
-	total := calls[0][1]
-	if calls[0][0] != 0 {
-		t.Fatalf("first call = %v, want (0, total)", calls[0])
-	}
-	last := calls[len(calls)-1]
-	if last[0] != total || last[1] != total {
-		t.Fatalf("last call = %v, want (%d, %d)", last, total, total)
-	}
-	if len(calls) != total+1 {
-		t.Fatalf("%d progress calls for %d seeds, want %d", len(calls), total, total+1)
-	}
-	if preds == nil {
-		t.Log("no predictions on this fixture (acceptable)")
+	for _, par := range []int{1, 4} {
+		g := twoCommunities()
+		p, err := New(g, Options{Lambda: 2, Tau: 3, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The calls are serialized, so appending without a lock of its own
+		// is race-free.
+		var calls [][2]int
+		preds, err := p.RunContext(context.Background(), func(done, total int) {
+			calls = append(calls, [2]int{done, total})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) == 0 {
+			t.Fatalf("parallelism %d: progress never called", par)
+		}
+		total := calls[0][1]
+		if calls[0][0] != 0 {
+			t.Fatalf("parallelism %d: first call = %v, want (0, total)", par, calls[0])
+		}
+		last := calls[len(calls)-1]
+		if last[0] != total || last[1] != total {
+			t.Fatalf("parallelism %d: last call = %v, want (%d, %d)", par, last, total, total)
+		}
+		if len(calls) != total+1 {
+			t.Fatalf("parallelism %d: %d progress calls for %d seeds, want %d", par, len(calls), total, total+1)
+		}
+		for i := 1; i < len(calls); i++ {
+			if calls[i][0] <= calls[i-1][0] {
+				t.Fatalf("parallelism %d: done stepped from %d to %d", par, calls[i-1][0], calls[i][0])
+			}
+		}
+		if preds == nil {
+			t.Logf("parallelism %d: no predictions on this fixture (acceptable)", par)
+		}
 	}
 }

@@ -47,14 +47,12 @@ func (p *Predictor) cohesion(s []hypergraph.NodeID) (int, float64) {
 	if len(s) < 2 {
 		return 0, 0
 	}
-	sub := p.g.InducedSubgraph(s)
-	ctx := p.cache.internCtx(s)
+	egos := p.contextEgos(s, s)
 	lambdaTau := p.opts.Lambda * p.opts.Tau
 	maxScore, total, pairs := 0, 0, 0
-	n := sub.NumNodes()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d, ok := p.cache.contextDistance(ctx, sub, hypergraph.NodeID(i), hypergraph.NodeID(j), s[i], s[j], lambdaTau)
+	for i := range egos {
+		for j := i + 1; j < len(egos); j++ {
+			d, ok := p.cache.contextDistance(egos[i], egos[j], lambdaTau)
 			if !ok {
 				d = lambdaTau + 1 // should not happen for emitted sets
 			}

@@ -17,9 +17,11 @@ import (
 // generation — in-flight requests finish with a consistent view while new
 // requests use the rebased predictor. Entry carry-over is sound because σ is
 // a function of ego networks only: a full entry (u,v) is reused when neither
-// endpoint is invalid, and a context entry when no member of its interned
-// context set is invalid (any edit fully inside the context marks some
-// member invalid — see hypergraph.Batch).
+// endpoint is invalid, and a context entry when no member of either of its
+// two ego node sets is invalid. A context ego is the sub-hypergraph the set
+// induces on the host, and any edit fully inside the set marks some member
+// invalid (see hypergraph.Batch). Each ego set is a subset of the context
+// it was read from, so an entry survives whenever its context would.
 func (p *Predictor) Rebase(g *hypergraph.Hypergraph, invalid func(hypergraph.NodeID) bool) *Predictor {
 	np := &Predictor{g: g, opts: p.opts, cache: p.cache.rebase(g, p.opts, invalid)}
 	p.mu.Lock()
@@ -36,20 +38,20 @@ func (c *pairCache) rebase(g *hypergraph.Hypergraph, o Options, invalid func(hyp
 	if invalid == nil {
 		return nc // renumbered: nothing keyed by node id survives
 	}
-	// The context interner carries over wholesale (ids stay stable across
+	// The ego-set interner carries over wholesale (ids stay stable across
 	// generations); only entries touching an invalid node are dropped.
-	nc.ctxs = c.ctxs.clone()
-	ctxValid := make([]bool, len(c.ctxs.sets))
-	for id, set := range c.ctxs.sets {
-		ctxValid[id] = !slices.ContainsFunc(set, invalid)
+	nc.egos = c.egos.clone()
+	setValid := make([]bool, len(c.egos.sets))
+	for id, set := range c.egos.sets {
+		setValid[id] = !slices.ContainsFunc(set, invalid)
 	}
 	//hgedvet:ignore detrange filtered map-to-map copy: each key is written independently, the result is order-invariant
 	for key, e := range c.memo {
 		var keep bool
-		if key.ctx == fullGraph {
-			keep = !invalid(key.u) && !invalid(key.v)
+		if key.kind == fullGraph {
+			keep = !invalid(hypergraph.NodeID(key.a)) && !invalid(hypergraph.NodeID(key.b))
 		} else {
-			keep = ctxValid[key.ctx]
+			keep = setValid[key.a] && setValid[key.b]
 		}
 		if keep {
 			nc.memo[key] = e

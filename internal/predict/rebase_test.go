@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hged/internal/gen"
 	"hged/internal/hypergraph"
 )
 
@@ -136,5 +137,64 @@ func TestRebaseCarriesContextEntries(t *testing.T) {
 	}
 	if coldPairs := cold.Stats().PairsComputed; rebased >= coldPairs {
 		t.Fatalf("rebased run computed %d σ pairs, cold run %d: context entries were not carried", rebased, coldPairs)
+	}
+}
+
+// TestRebaseKeepsEgoPairsOfValidSets checks the carry rule entry by entry
+// after a HEP run and a batch that touches a few nodes: an ego-pair entry
+// survives exactly when neither of its two sets holds an invalid node, and
+// a full-graph entry exactly when neither endpoint is invalid.
+func TestRebaseKeepsEgoPairsOfValidSets(t *testing.T) {
+	g, _, err := gen.PlantedCommunities(gen.Config{Nodes: 40, Edges: 80, MeanEdgeSize: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := hypergraph.NewVersioned(g)
+	p, err := New(v.Current().Graph(), Options{Lambda: 3, Tau: 5, MaxExpansions: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run()
+	for u := hypergraph.NodeID(0); u < 6; u++ {
+		p.Sigma(u, u+1, 10)
+	}
+
+	b := v.Begin()
+	b.AddEdge(1, 0, 1)
+	b.AddEdge(2, 5, 9, 13)
+	next, delta := b.Commit()
+	np := p.Rebase(next.Graph(), delta.Invalidates)
+
+	setValid := func(id int32) bool {
+		for _, x := range p.cache.egos.sets[id] {
+			if delta.Invalidates(x) {
+				return false
+			}
+		}
+		return true
+	}
+	var kept, dropped, mixed int
+	for key := range p.cache.memo {
+		var want bool
+		if key.kind == fullGraph {
+			want = !delta.Invalidates(hypergraph.NodeID(key.a)) && !delta.Invalidates(hypergraph.NodeID(key.b))
+		} else {
+			va, vb := setValid(key.a), setValid(key.b)
+			want = va && vb
+			if va != vb {
+				mixed++
+			}
+		}
+		if _, got := np.cache.memo[key]; got != want {
+			t.Fatalf("entry %+v carried = %v, want %v", key, got, want)
+		}
+		if want {
+			kept++
+		} else {
+			dropped++
+		}
+	}
+	if kept == 0 || dropped == 0 || mixed == 0 {
+		t.Fatalf("%d entries kept, %d dropped, %d with one invalid set: the batch does not exercise the rule", kept, dropped, mixed)
 	}
 }

@@ -11,10 +11,15 @@ import (
 
 // TestPredStoreJSONIdentical checks that the compact job-result store
 // serializes exactly like the per-prediction views it replaced, including
-// the omitted field of a job with no predictions.
+// the omitted field of a job with no predictions. Node sets come unsorted,
+// with repeats, and from iteration 50 on with ids of up to 31 bits.
 func TestPredStoreJSONIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 50; iter++ {
+	for iter := 0; iter < 100; iter++ {
+		maxID := 1000
+		if iter >= 50 {
+			maxID = 1<<31 - 1
+		}
 		n := rng.Intn(40)
 		if iter == 0 {
 			n = 0
@@ -23,9 +28,9 @@ func TestPredStoreJSONIdentical(t *testing.T) {
 		for i := range preds {
 			nodes := make([]hged.NodeID, 2+rng.Intn(7))
 			for k := range nodes {
-				nodes[k] = hged.NodeID(rng.Intn(1000))
+				nodes[k] = hged.NodeID(rng.Intn(maxID))
 			}
-			preds[i] = hged.Prediction{Nodes: nodes, Seed: hged.NodeID(rng.Intn(1000))}
+			preds[i] = hged.Prediction{Nodes: nodes, Seed: hged.NodeID(rng.Intn(maxID))}
 		}
 		old := JobView{Predictions: make([]PredictionView, len(preds))}
 		for i, p := range preds {
