@@ -670,7 +670,7 @@ func suite() []benchmark {
 		// whole module (load/type-check time excluded — it is the go
 		// command's, not ours): summaries is the interprocedural
 		// call-graph + fact-propagation layer alone, check the full
-		// ten-analyzer pass on top of it. Keeping both fast is what makes
+		// six-analyzer pass on top of it. Keeping both fast is what makes
 		// the gate usable pre-commit.
 		{"Lint/summaries", func(b *testing.B) {
 			pkgs := lintBenchPkgs(b)

@@ -1,6 +1,6 @@
-// Command hgedvet runs the project's static-analysis pass: ten analyzers
+// Command hgedvet runs the project's static-analysis pass: six analyzers
 // over an interprocedural call-graph/fact-summary layer that make the
-// determinism, pool-hygiene, cancellation, and MVCC concurrency contracts
+// determinism, cancellation, and MVCC concurrency contracts
 // of the HGED service compile-time-checkable (see internal/lint and the
 // "Static analysis" section of DESIGN.md).
 //

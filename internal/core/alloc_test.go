@@ -117,3 +117,23 @@ func TestPooledBFSConcurrentDeterminism(t *testing.T) {
 		t.Fatal("solver pool counters never moved")
 	}
 }
+
+// TestWithinReusesPooledSolver guards the solver pool: sequential Within
+// calls must be served by warm solvers, so a dropped Put (every call then
+// allocating a fresh solver) fails here. sync.Pool may still drop an
+// object — on a GC, and on purpose for some Puts under -race — so the
+// bound allows half the calls to miss.
+func TestWithinReusesPooledSolver(t *testing.T) {
+	g, h := egoPair()
+	Within(g, h, 6, Options{})
+	const calls = 64
+	_, before := PoolStats()
+	for i := 0; i < calls; i++ {
+		if _, ok := Within(g, h, 6, Options{}); !ok {
+			t.Fatal("HGED of the Fig. 1 pair is 6, Within(6) reported false")
+		}
+	}
+	if _, after := PoolStats(); after-before > calls/2 {
+		t.Fatalf("%d of %d sequential Within calls built a fresh solver, want at most %d", after-before, calls, calls/2)
+	}
+}

@@ -1,12 +1,13 @@
 // Package lint implements hgedvet, the project's static-analysis pass.
 //
-// The HGED codebase promises three contracts that ordinary tests only catch
-// when a test happens to exercise the offending path:
+// The HGED codebase promises contracts that ordinary tests only catch when
+// a test happens to exercise the offending path:
 //
 //   - determinism: parallel search output is byte-identical to sequential,
 //     edit paths and DOT renderings are reproducible run to run;
-//   - pool hygiene: every pooled solver acquired is released on every path;
-//   - cancellation: every state-expansion loop polls Options.Context.
+//   - cancellation: every state-expansion loop polls Options.Context;
+//   - MVCC discipline: graph writes go through a Batch, every generation
+//     pin is released, and no server mutex is held across a blocking wait.
 //
 // hgedvet makes those contracts compile-time-checkable. The framework is
 // stdlib-only (go/parser + go/types, with package resolution and export
@@ -111,9 +112,42 @@ func (a *Analyzer) appliesTo(importPath string) bool {
 // scoping (see DESIGN.md "Static analysis" for the contract each enforces).
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Detrange, Nondet, Poolpair, Ctxpoll, Hotmap, Mutpath,
-		Pinpair, Lockhold, Atomicfield, Ctxdetach,
+		Detrange, Nondet, Ctxpoll, Mutpath, Pinpair, Lockhold,
 	}
+}
+
+// eachFuncUnit calls check with the body of every function declaration and
+// function literal in files; a worker goroutine's closure is its own unit.
+func eachFuncUnit(files []*ast.File, check func(*ast.BlockStmt)) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				body = fn.Body
+			case *ast.FuncLit:
+				body = fn.Body
+			}
+			if body != nil {
+				check(body)
+			}
+			return true
+		})
+	}
+}
+
+// walkUnit visits the nodes of one function body without descending into
+// nested function literals (each literal is checked as its own unit).
+func walkUnit(body *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
 }
 
 // Select resolves rule names to default analyzers, erroring on any name

@@ -81,8 +81,7 @@ func checkFixture(t *testing.T, dir, rule string) []lint.Diagnostic {
 // fixtures' suppression comments silence their sites.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, rule := range []string{
-		"detrange", "nondet", "poolpair", "ctxpoll", "hotmap", "mutpath",
-		"pinpair", "lockhold", "atomicfield", "ctxdetach",
+		"detrange", "nondet", "ctxpoll", "mutpath", "pinpair", "lockhold",
 	} {
 		t.Run(rule, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", rule)
@@ -129,14 +128,10 @@ func TestSuppressionRemoval(t *testing.T) {
 	}{
 		{"detrange", "//hgedvet:ignore detrange commutative sum"},
 		{"nondet", "//hgedvet:ignore nondet debug-only timing"},
-		{"poolpair", "//hgedvet:ignore poolpair ownership transfers"},
 		{"ctxpoll", "//hgedvet:ignore ctxpoll bounded to 64 iterations"},
-		{"hotmap", "//hgedvet:ignore hotmap string keys have no dense id space"},
 		{"mutpath", "//hgedvet:ignore mutpath graph is still private"},
 		{"pinpair", "//hgedvet:ignore pinpair pin ownership moves into the holder"},
 		{"lockhold", "//hgedvet:ignore lockhold bounded handoff"},
-		{"atomicfield", "//hgedvet:ignore atomicfield read happens during init"},
-		{"ctxdetach", "//hgedvet:ignore ctxdetach fire-and-forget telemetry flush"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.rule, func(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // Lockhold forbids may-block operations while holding a registry or entry
 // mutex in the server layer. Those mutexes (Registry.mu, GraphEntry.mu,
-// searchIndex.mu, Metrics.mu, jobManager.mu) sit on every request path;
+// Metrics.mu, JobManager.mu, Job.mu) sit on every request path;
 // blocking under one — a channel operation, an MVCC Versioned.Begin that
 // waits for a prior writer, a network call — turns an isolated slow
 // operation into a server-wide stall, and mixing lock orders with blocking
@@ -23,7 +23,7 @@ import (
 // function literals — the rule flags blocking channel operations (sends
 // and receives outside a select with default, selects without default,
 // ranges over channels) and calls to functions whose transitive summary
-// carries FactBlocks. The region model is lexical like poolpair's: an
+// carries FactBlocks. The region model is lexical like pinpair's: an
 // unlock inside one branch closes the region early, which under-
 // approximates but never false-positives on straight-line code.
 //
@@ -43,23 +43,7 @@ type lockRegion struct {
 }
 
 func runLockhold(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkLockUnit(pass, body)
-			}
-			return true
-		})
-	}
+	eachFuncUnit(pass.Files, func(body *ast.BlockStmt) { checkLockUnit(pass, body) })
 }
 
 func checkLockUnit(pass *Pass, body *ast.BlockStmt) {

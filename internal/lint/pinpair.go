@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // Pinpair flags leaked MVCC generation pins: a call to a Pin method (any
@@ -12,7 +13,7 @@ import (
 // pinned generation's ego caches and CSR arenas alive forever: the MVCC
 // layer frees an old generation only when its pin count drains to zero.
 //
-// Like poolpair, the check is lexical per function literal:
+// The check is lexical per function literal:
 //
 //   - `return x.Pin()` transfers ownership to the caller and is exempt
 //     (the registry's GraphEntry.Pin wrapper is exactly this);
@@ -33,23 +34,7 @@ var Pinpair = &Analyzer{
 }
 
 func runPinpair(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkPinUnit(pass, body)
-			}
-			return true
-		})
-	}
+	eachFuncUnit(pass.Files, func(body *ast.BlockStmt) { checkPinUnit(pass, body) })
 }
 
 func checkPinUnit(pass *Pass, body *ast.BlockStmt) {
@@ -151,6 +136,34 @@ func pinDeferCovers(pass *Pass, defers []*ast.DeferStmt, pin token.Pos) bool {
 			return !found
 		})
 		if found {
+			return true
+		}
+	}
+	return false
+}
+
+// isPinCall recognizes a method call named Pin whose result is a pointer to
+// a type with an Unpin method — the MVCC generation-pinning shape
+// (hypergraph.Versioned.Pin, server.GraphEntry.Pin, fixtures).
+func isPinCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Pin" {
+		return false
+	}
+	if _, ok := info.Selections[sel]; !ok {
+		return false // package-qualified function, not a method
+	}
+	return hasUnpinMethod(info.TypeOf(call))
+}
+
+// hasUnpinMethod reports whether t (or its pointee) has an Unpin method.
+func hasUnpinMethod(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == "Unpin" {
 			return true
 		}
 	}

@@ -21,17 +21,16 @@ import (
 //	Blocks      may block: channel ops, time.Sleep, WaitGroup/Cond waits,
 //	            network and subprocess I/O, MVCC writer serialization
 //	            (Versioned.Begin), singleflight waits (channel recv)
-//	Pins        pins an MVCC generation (Pin method returning an Unpin-able)
 //	Unpins      unpins an MVCC generation
 //	PollsCancel polls a cancellation context (cancelled/ctxCancelled/Err)
-//	DetachedCtx constructs a detached context (Background/TODO/WithoutCancel)
 //
 // Functions are keyed by types.Func.FullName(), which is stable between a
 // package type-checked from source and the same package consumed as export
 // data — that is what lets facts propagate across package boundaries.
 // Resolution is static: calls through function values, interface methods,
-// and goroutine bodies launched with `go` do not contribute to a caller's
-// summary (goroutine facts are the ctxdetach analyzer's job).
+// and the call a `go` statement spawns do not contribute to a caller's
+// summary. The spawned call's function value and arguments do: Go
+// evaluates them on the launching goroutine.
 
 // Facts is the per-function summary bitmask.
 type Facts uint16
@@ -42,14 +41,10 @@ const (
 	FactWallClock Facts = 1 << iota
 	// FactBlocks marks functions that may block the calling goroutine.
 	FactBlocks
-	// FactPins marks functions that pin an MVCC generation.
-	FactPins
 	// FactUnpins marks functions that unpin an MVCC generation.
 	FactUnpins
 	// FactPollsCancel marks functions that poll a cancellation context.
 	FactPollsCancel
-	// FactDetachedCtx marks functions that construct a detached context.
-	FactDetachedCtx
 )
 
 // String renders the fact set for diagnostics and tests.
@@ -61,10 +56,8 @@ func (f Facts) String() string {
 	}{
 		{FactWallClock, "wallclock"},
 		{FactBlocks, "blocks"},
-		{FactPins, "pins"},
 		{FactUnpins, "unpins"},
 		{FactPollsCancel, "pollscancel"},
-		{FactDetachedCtx, "detachedctx"},
 	} {
 		if f&e.bit != 0 {
 			parts = append(parts, e.name)
@@ -100,10 +93,6 @@ var externalFacts = map[string]Facts{
 	"(*net/http.Client).Head":       FactBlocks,
 	"net.Dial":                      FactBlocks,
 	"net.DialTimeout":               FactBlocks,
-
-	"context.Background":    FactDetachedCtx,
-	"context.TODO":          FactDetachedCtx,
-	"context.WithoutCancel": FactDetachedCtx,
 }
 
 // moduleFacts force-classifies module functions whose blocking behavior is
@@ -135,15 +124,10 @@ type FuncInfo struct {
 }
 
 // Program is the whole-run view handed to every analyzer pass: all loaded
-// packages, the call graph with computed summaries, and the global
-// atomic-field census the atomicfield analyzer consumes.
+// packages and the call graph with computed summaries.
 type Program struct {
 	Pkgs  []*Package
 	Funcs map[string]*FuncInfo
-
-	// atomicFields maps a field/var key (see fieldKey) to the position of
-	// one sync/atomic access that marked it.
-	atomicFields map[string]token.Position
 }
 
 // FuncCount returns the number of module functions in the call graph.
@@ -185,11 +169,7 @@ func (p *Program) calleeFacts(info *types.Info, call *ast.CallExpr) (Facts, stri
 // BuildProgram parses every function of the loaded packages into the call
 // graph and computes transitive fact summaries bottom-up over SCCs.
 func BuildProgram(pkgs []*Package) *Program {
-	p := &Program{
-		Pkgs:         pkgs,
-		Funcs:        make(map[string]*FuncInfo),
-		atomicFields: make(map[string]token.Position),
-	}
+	p := &Program{Pkgs: pkgs, Funcs: make(map[string]*FuncInfo)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -206,59 +186,62 @@ func BuildProgram(pkgs []*Package) *Program {
 				p.Funcs[fi.ID] = fi
 			}
 		}
-		collectAtomicFields(pkg, p.atomicFields)
 	}
 	p.propagate()
 	return p
 }
 
-// scanLocal computes a function's own facts and call edges. Bodies of
-// goroutines launched with `go func(){...}()` are excluded — their effects
-// happen on another goroutine — while synchronously invoked closures
-// count toward the enclosing function.
+// scanLocal computes a function's own facts and call edges. The call a `go`
+// statement spawns is excluded — its effects happen on another goroutine —
+// while synchronously invoked closures count toward the enclosing function.
 func scanLocal(pkg *Package, fi *FuncInfo) {
 	seen := make(map[string]bool)
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.GoStmt:
-				// Skip the spawned call and, for literals, the whole body.
-				return false
-			case *ast.CallExpr:
-				id, ok := calleeID(pkg.Info, st)
-				if ok {
-					if !seen[id] {
-						seen[id] = true
-						fi.Calls = append(fi.Calls, id)
-					}
-					ext := externalCallFacts(pkg.Info, st, id)
-					fi.Local |= ext
-					if ext&FactWallClock != 0 && fi.wallWhat == "" {
-						fi.wallWhat = displayName(id)
-					}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.GoStmt:
+			inspectLaunch(st, visit)
+			return false
+		case *ast.CallExpr:
+			id, ok := calleeID(pkg.Info, st)
+			if ok {
+				if !seen[id] {
+					seen[id] = true
+					fi.Calls = append(fi.Calls, id)
 				}
-				if isPinCall(pkg.Info, st) {
-					fi.Local |= FactPins
-				}
-				if isUnpinCall(pkg.Info, st) {
-					fi.Local |= FactUnpins
-				}
-				if isPollCall(st) {
-					fi.Local |= FactPollsCancel
+				ext := externalCallFacts(pkg.Info, st, id)
+				fi.Local |= ext
+				if ext&FactWallClock != 0 && fi.wallWhat == "" {
+					fi.wallWhat = displayName(id)
 				}
 			}
-			return true
-		})
+			if isUnpinCall(pkg.Info, st) {
+				fi.Local |= FactUnpins
+			}
+			if isPollCall(st) {
+				fi.Local |= FactPollsCancel
+			}
+		}
+		return true
 	}
-	walk(fi.Decl.Body)
-	for _, op := range blockingChanOps(pkg, fi.Decl.Body, true) {
-		_ = op
+	ast.Inspect(fi.Decl.Body, visit)
+	if len(blockingChanOps(pkg, fi.Decl.Body, true)) > 0 {
 		fi.Local |= FactBlocks
-		break
 	}
 	if forced, ok := moduleFacts[fi.ID]; ok {
 		fi.Local |= forced
+	}
+}
+
+// inspectLaunch walks what a `go` statement evaluates on the launching
+// goroutine — the function value, unless it is a literal, and the
+// arguments — and skips the spawned call itself.
+func inspectLaunch(g *ast.GoStmt, visit func(ast.Node) bool) {
+	if _, lit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); !lit {
+		ast.Inspect(g.Call.Fun, visit)
+	}
+	for _, arg := range g.Call.Args {
+		ast.Inspect(arg, visit)
 	}
 }
 
@@ -403,15 +386,8 @@ func (p *Program) wallClockChain(id string) string {
 
 // calleeID statically resolves a call expression to the callee's FullName.
 func calleeID(info *types.Info, call *ast.CallExpr) (string, bool) {
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fn].(*types.Func); ok {
-			return f.FullName(), true
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fn.Sel].(*types.Func); ok {
-			return f.FullName(), true
-		}
+	if f := calleeFunc(info, call); f != nil {
+		return f.FullName(), true
 	}
 	return "", false
 }
@@ -481,20 +457,6 @@ func displayName(id string) string {
 	return id
 }
 
-// isPinCall recognizes a method call named Pin whose result is a pointer to
-// a type with an Unpin method — the MVCC generation-pinning shape
-// (hypergraph.Versioned.Pin, server.GraphEntry.Pin, fixtures).
-func isPinCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Pin" {
-		return false
-	}
-	if _, ok := info.Selections[sel]; !ok {
-		return false // package-qualified function, not a method
-	}
-	return hasUnpinMethod(info.TypeOf(call))
-}
-
 // isUnpinCall recognizes a no-argument method call named Unpin.
 func isUnpinCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -511,20 +473,6 @@ func isPollCall(call *ast.CallExpr) bool {
 	return ok && pollNames[sel.Sel.Name]
 }
 
-// hasUnpinMethod reports whether t (or its pointee) has an Unpin method.
-func hasUnpinMethod(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == "Unpin" {
-			return true
-		}
-	}
-	return false
-}
-
 // chanOp is one potentially blocking channel operation.
 type chanOp struct {
 	pos  token.Pos
@@ -534,15 +482,18 @@ type chanOp struct {
 // blockingChanOps collects the channel operations in body that can block:
 // sends and receives outside a select with a default case, selects without
 // a default, and ranges over a channel. With includeClosures, synchronously
-// invoked function literals count toward the enclosing body; goroutine
-// bodies never do. With includeClosures false, every nested function
-// literal is skipped (each is analyzed as its own unit).
+// invoked function literals count toward the enclosing body; the call a
+// `go` statement spawns never does, though its arguments do. With
+// includeClosures false, every nested function literal is skipped (each is
+// analyzed as its own unit).
 func blockingChanOps(pkg *Package, body ast.Node, includeClosures bool) []chanOp {
 	var ops []chanOp
 	exempt := make(map[ast.Node]bool) // comm statements of select-with-default
-	ast.Inspect(body, func(n ast.Node) bool {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.GoStmt:
+			inspectLaunch(st, visit)
 			return false
 		case *ast.FuncLit:
 			if !includeClosures {
@@ -579,7 +530,8 @@ func blockingChanOps(pkg *Package, body ast.Node, includeClosures bool) []chanOp
 			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(body, visit)
 	return ops
 }
 
@@ -600,76 +552,4 @@ func exemptRecv(exempt map[ast.Node]bool, recv *ast.UnaryExpr, body ast.Node) bo
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------- atomic field census
-
-// fieldKey names a struct field or package-level variable in a way that is
-// stable across source- and export-data views of a package:
-// "pkg/path.Type.field" for fields, "pkg/path.var" for package variables.
-func fieldKey(info *types.Info, expr ast.Expr) (string, bool) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		sel, ok := info.Selections[e]
-		if !ok || sel.Kind() != types.FieldVal {
-			return "", false
-		}
-		recv := sel.Recv()
-		if p, ok := recv.Underlying().(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
-			return "", false
-		}
-		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + sel.Obj().Name(), true
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			return "", false
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-			return "", false // not a package-level variable
-		}
-		return v.Pkg().Path() + "." + v.Name(), true
-	}
-	return "", false
-}
-
-// isAtomicCall reports whether call is a package-level sync/atomic function
-// (Add*, Load*, Store*, Swap*, CompareAndSwap*), as opposed to a method on
-// the typed atomic wrappers, which cannot be mixed with plain accesses.
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// collectAtomicFields records every field/package-var whose address is
-// passed to a sync/atomic function in pkg.
-func collectAtomicFields(pkg *Package, out map[string]token.Position) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pkg.Info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				if key, ok := fieldKey(pkg.Info, u.X); ok {
-					if _, dup := out[key]; !dup {
-						out[key] = pkg.Fset.Position(u.X.Pos())
-					}
-				}
-			}
-			return true
-		})
-	}
 }

@@ -123,6 +123,39 @@ func spawned(ch chan int) {
 	}
 }
 
+// TestSummaryGoStatementFacts: a go statement's function value and
+// arguments are evaluated on the launching goroutine, so their facts count
+// toward the launcher; only the spawned call runs elsewhere.
+func TestSummaryGoStatementFacts(t *testing.T) {
+	pkg := writePkg(t, `package p
+
+import "time"
+
+func sink(int64) {}
+
+func launch() { go sink(time.Now().UnixNano()) }
+
+func recv(ch chan int64) { go sink(<-ch) }
+
+func literal() { go func() { time.Now() }() }
+`)
+	prog := lint.BuildProgram([]*lint.Package{pkg})
+	want := map[string]lint.Facts{
+		"p.launch":  lint.FactWallClock,
+		"p.recv":    lint.FactBlocks,
+		"p.literal": 0, // the literal's body runs on the spawned goroutine
+	}
+	for name, w := range want {
+		facts, ok := prog.FactsOf(name)
+		if !ok {
+			t.Fatalf("%s not in call graph", name)
+		}
+		if facts != w {
+			t.Errorf("%s: facts %v, want %v", name, facts, w)
+		}
+	}
+}
+
 // loadNondetx loads the two-package cross-propagation fixture.
 func loadNondetx(t *testing.T) []*lint.Package {
 	t.Helper()
