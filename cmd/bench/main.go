@@ -450,6 +450,35 @@ func suite() []benchmark {
 			}
 			b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
 		}},
+		// HEP/amz is Table III's HEP-BFS run on the AMZ replica (75%
+		// training split, seed 1; λ=3, τ=5, 10k expansions per σ search),
+		// sequential: the hub-heavy case, where reading ego sets off long
+		// incidence lists and setting up each σ solve weigh most.
+		{"HEP/amz", func(b *testing.B) {
+			spec, err := dataset.Lookup("AMZ")
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := spec.Replica(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			train, _, err := dataset.Split(g, 0.75, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var expanded int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := predict.New(train, predict.Options{Lambda: 3, Tau: 5, MaxExpansions: 10_000})
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.Run()
+				expanded += p.Stats().Expanded
+			}
+			b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+		}},
 		// The CSR pair measures the frozen dense-layout hot paths directly:
 		// neighbors as offset-range scans over a bitset, ego extraction as
 		// the uncached neighbor-scan + induced-subgraph path (Ego itself

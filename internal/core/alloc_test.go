@@ -9,10 +9,10 @@ import (
 
 // TestSolverBFSAllocBound guards the slab/arena tentpole: a warm solver
 // re-solving a small pair must stay within a fixed allocation budget. The
-// measured cost is ~42 allocs/solve (Strategy-2 mapping construction, path
-// extraction, and the rerank sort closures — none of it per-state); the
-// bound leaves headroom without letting per-push state allocations (which
-// alone would add hundreds) sneak back in.
+// measured cost is 21 allocs/solve (Strategy-2 mapping construction and
+// path extraction — none of it per-state); the bound leaves headroom
+// without letting per-push state allocations (which alone would add
+// hundreds) sneak back in.
 func TestSolverBFSAllocBound(t *testing.T) {
 	g, h := egoPair()
 	sv := new(solver)
@@ -22,8 +22,26 @@ func TestSolverBFSAllocBound(t *testing.T) {
 			t.Errorf("distance drifted: %d vs %d", res.Distance, want.Distance)
 		}
 	})
-	if allocs > 60 {
-		t.Fatalf("warm solver allocated %.1f per solve, budget 60", allocs)
+	if allocs > 40 {
+		t.Fatalf("warm solver allocated %.1f per solve, budget 40", allocs)
+	}
+}
+
+// TestInducedCompileAllocFree guards the σ miss path of HEP-BFS: once warm,
+// compiling two node sets of a host into a solver's pair, the set-up
+// WithinInduced does before searching, allocates nothing.
+func TestInducedCompileAllocFree(t *testing.T) {
+	host := hypergraph.Fig1()
+	c := host.Freeze()
+	a := host.Neighbors(hypergraph.U(4))
+	b := host.Neighbors(hypergraph.U(5))
+	sv := new(solver)
+	sv.p.compile(c, a, c, b, UnitCosts())
+	allocs := testing.AllocsPerRun(20, func() {
+		sv.p.compile(c, a, c, b, UnitCosts())
+	})
+	if allocs > 0 {
+		t.Fatalf("warm induced compile allocated %.1f per call, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hged/internal/hypergraph"
 )
@@ -81,27 +82,69 @@ type graphData struct {
 	memberBits []uint64
 	bitWords   int
 	degrees    []int
-	// csr is the frozen view this compilation was built from; init reuses
-	// its interned label dictionary for the pair-union densify.
-	csr *hypergraph.CSR
+	// nodeLabIDs and edgeLabIDs are the labels as ids of dict, the
+	// interned dictionary of the frozen host this compilation was read
+	// from; init densifies them into the pair-union ids.
+	nodeLabIDs, edgeLabIDs []int32
+	dict                   []hypergraph.Label
+	// hostEdges is compile scratch: the host ids of the kept hyperedges.
+	hostEdges []int32
+	// groupScore is rerank scratch indexed by dict id, all zero between
+	// calls.
+	groupScore []int
 }
 
-// reset recompiles g into d, reusing d's buffers when they have capacity.
-// The flat slices are filled straight from g's frozen CSR view — offset
-// ranges and interned-label arrays — so compilation is sequential copies.
-func (d *graphData) reset(g *hypergraph.Hypergraph) {
-	c := g.Freeze()
-	n, m := c.NumNodes(), c.NumEdges()
+// compile fills d with G_S, the sub-hypergraph of the frozen host c induced
+// by set, reusing d's buffers when they have capacity; a nil set selects
+// every node, which compiles c itself. set must ascend without duplicates.
+// The result is field for field the compile of host.InducedSubgraph(set)
+// as a whole graph: nodes in set order, the hyperedges wholly inside set
+// ascending by host id, members as positions in set, degrees counted
+// inside set. Label ids stay those of c's dictionary; init's densify maps
+// them to the same first-occurrence pair ids the subgraph's own dictionary
+// would give.
+func (d *graphData) compile(c *hypergraph.CSR, set []hypergraph.NodeID) {
+	n := len(set)
+	d.hostEdges = d.hostEdges[:0]
+	incid := 0
+	if set == nil {
+		n = c.NumNodes()
+		for e := 0; e < c.NumEdges(); e++ {
+			d.hostEdges = append(d.hostEdges, int32(e))
+		}
+		incid = c.Incidences()
+	} else {
+		// A kept hyperedge is met once, at its first member, and must fit
+		// in what is left of set from there.
+		for i, v := range set {
+			for _, e := range c.IncidentEdges(v) {
+				members := c.Members(e)
+				if members[0] == v && len(members) <= n-i && subsetOf(members[1:], set[i+1:]) {
+					d.hostEdges = append(d.hostEdges, int32(e))
+					incid += len(members)
+				}
+			}
+		}
+		slices.Sort(d.hostEdges)
+	}
+	m := len(d.hostEdges)
 	d.n, d.m = n, m
-	d.csr = c
-	labels := c.Labels()
+	d.dict = c.Labels()
 	d.nodeLabels = growLabels(d.nodeLabels, n)
+	d.nodeLabIDs = growInt32s(d.nodeLabIDs, n)
 	d.degrees = growInts(d.degrees, n)
-	for v, id := range c.NodeLabelIDs() {
-		d.nodeLabels[v] = labels[id]
-		d.degrees[v] = c.Degree(hypergraph.NodeID(v))
+	for i := 0; i < n; i++ {
+		v := hypergraph.NodeID(i)
+		if set != nil {
+			v = set[i]
+		}
+		id := c.NodeLabelID(v)
+		d.nodeLabIDs[i] = id
+		d.nodeLabels[i] = d.dict[id]
+		d.degrees[i] = 0
 	}
 	d.edgeLabels = growLabels(d.edgeLabels, m)
+	d.edgeLabIDs = growInt32s(d.edgeLabIDs, m)
 	d.edgeNodes = growIntSlices(d.edgeNodes, m)
 	d.cards = growInts(d.cards, m)
 	d.bitWords = (n + 63) / 64
@@ -109,21 +152,48 @@ func (d *graphData) reset(g *hypergraph.Hypergraph) {
 	for i := range d.memberBits {
 		d.memberBits[i] = 0
 	}
-	d.nodeArena = growInts(d.nodeArena, c.Incidences())
+	d.nodeArena = growInts(d.nodeArena, incid)
 	next := 0
-	for e := 0; e < m; e++ {
+	for k, e := range d.hostEdges {
 		members := c.Members(hypergraph.EdgeID(e))
-		d.edgeLabels[e] = labels[c.EdgeLabelID(hypergraph.EdgeID(e))]
-		d.cards[e] = len(members)
+		id := c.EdgeLabelID(hypergraph.EdgeID(e))
+		d.edgeLabIDs[k] = id
+		d.edgeLabels[k] = d.dict[id]
+		d.cards[k] = len(members)
 		nodes := d.nodeArena[next : next+len(members)]
 		next += len(members)
-		bits := d.memberBits[e*d.bitWords : (e+1)*d.bitWords]
-		for i, v := range members {
-			nodes[i] = int(v)
-			bits[int(v)/64] |= 1 << (uint(v) % 64)
+		bits := d.memberBits[k*d.bitWords : (k+1)*d.bitWords]
+		j := 0 // both lists ascend: one merge walk places every member
+		for i, u := range members {
+			v := int(u)
+			if set != nil {
+				for set[j] < u {
+					j++
+				}
+				v = j
+			}
+			nodes[i] = v
+			bits[v/64] |= 1 << (uint(v) % 64)
+			d.degrees[v]++
 		}
-		d.edgeNodes[e] = nodes
+		d.edgeNodes[k] = nodes
 	}
+}
+
+// subsetOf reports whether every id of the ascending members occurs in the
+// ascending set.
+func subsetOf(members, set []hypergraph.NodeID) bool {
+	j := 0
+	for _, u := range members {
+		for j < len(set) && set[j] < u {
+			j++
+		}
+		if j == len(set) || set[j] != u {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 func (d *graphData) contains(e, v int) bool {
@@ -195,7 +265,7 @@ type pair struct {
 	// Retained label dictionaries (cleared, not reallocated, per init).
 	nodeDict, edgeDict map[hypergraph.Label]int
 	// labTrans is scratch translating one graph's interned label ids into
-	// pair-dictionary ids (-1 = not yet translated this pass).
+	// pair-dictionary ids; -1 (not yet translated) outside densify.
 	labTrans []int
 	// Root lower-bound scratch (see bounds.go rootLowerBound).
 	psiCnt                     []int32
@@ -222,13 +292,21 @@ func newPairModel(g, h *hypergraph.Hypergraph, w CostModel) *pair {
 	return p
 }
 
-// init (re)compiles the pair model into p, reusing retained storage.
+// init (re)compiles the pair model of g and h into p, reusing retained
+// storage.
 func (p *pair) init(g, h *hypergraph.Hypergraph, w CostModel) {
+	p.compile(g.Freeze(), nil, h.Freeze(), nil, w)
+}
+
+// compile (re)compiles the pair model of the sub-hypergraphs a and b induce
+// on the frozen hosts cg and ch (nil: the whole host; see
+// graphData.compile) into p, reusing retained storage.
+func (p *pair) compile(cg *hypergraph.CSR, a []hypergraph.NodeID, ch *hypergraph.CSR, b []hypergraph.NodeID, w CostModel) {
 	if p.src == nil {
 		p.src, p.tgt = new(graphData), new(graphData)
 	}
-	p.src.reset(g)
-	p.tgt.reset(h)
+	p.src.compile(cg, a)
+	p.tgt.compile(ch, b)
 	p.paddedN = maxInt(p.src.n, p.tgt.n)
 	p.paddedM = maxInt(p.src.m, p.tgt.m)
 	p.w = w
@@ -239,27 +317,27 @@ func (p *pair) init(g, h *hypergraph.Hypergraph, w CostModel) {
 		clear(p.nodeDict)
 		clear(p.edgeDict)
 	}
-	cs, ct := p.src.csr, p.tgt.csr
-	p.srcNodeLab = p.densify(p.srcNodeLab, cs.NodeLabelIDs(), cs.Labels(), p.nodeDict)
-	p.tgtNodeLab = p.densify(p.tgtNodeLab, ct.NodeLabelIDs(), ct.Labels(), p.nodeDict)
+	s, t := p.src, p.tgt
+	p.srcNodeLab = p.densify(p.srcNodeLab, s.nodeLabIDs, s.dict, p.nodeDict)
+	p.tgtNodeLab = p.densify(p.tgtNodeLab, t.nodeLabIDs, t.dict, p.nodeDict)
 	p.numNodeLab = len(p.nodeDict)
-	p.srcEdgeLab = p.densify(p.srcEdgeLab, cs.EdgeLabelIDs(), cs.Labels(), p.edgeDict)
-	p.tgtEdgeLab = p.densify(p.tgtEdgeLab, ct.EdgeLabelIDs(), ct.Labels(), p.edgeDict)
+	p.srcEdgeLab = p.densify(p.srcEdgeLab, s.edgeLabIDs, s.dict, p.edgeDict)
+	p.tgtEdgeLab = p.densify(p.tgtEdgeLab, t.edgeLabIDs, t.dict, p.edgeDict)
 	p.numEdgeLab = len(p.edgeDict)
 	p.tgtIndexBuilt = false
 }
 
-// densify translates one graph's interned label ids (indices into dict, its
-// frozen CSR dictionary) into the pair-union dense ids, inserting unseen
+// densify translates one graph's label ids (indices into dict, its host's
+// interned dictionary) into the pair-union dense ids, inserting unseen
 // labels in first-occurrence order — exactly the order the historical
 // label-by-label map walk produced, which solver determinism relies on.
 // Each distinct label probes the pair dictionary once; repeats hit the
-// translation scratch array.
+// translation scratch array, which is reset entry by entry afterwards, so
+// a large host dictionary costs nothing per call.
 func (p *pair) densify(out []int, ids []int32, dict []hypergraph.Label, pairDict map[hypergraph.Label]int) []int {
 	out = growInts(out, len(ids))
-	p.labTrans = growInts(p.labTrans, len(dict))
-	for i := range p.labTrans {
-		p.labTrans[i] = -1
+	for len(p.labTrans) < len(dict) {
+		p.labTrans = append(p.labTrans, -1)
 	}
 	for i, id := range ids {
 		t := p.labTrans[id]
@@ -273,6 +351,9 @@ func (p *pair) densify(out []int, ids []int32, dict []hypergraph.Label, pairDict
 			p.labTrans[id] = t
 		}
 		out[i] = t
+	}
+	for _, id := range ids {
+		p.labTrans[id] = -1
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // rerankNodes fills order (length paddedN) with the order in which source
 // node slots are assigned during search, implementing Strategy 1's
@@ -18,28 +21,21 @@ func rerankNodes(order []int, d *graphData, disable bool) {
 	}
 	// Group score per label: the maximum degree among nodes of that label,
 	// so whole label groups are ordered by their strongest member.
-	groupScore := make(map[int32]int)
-	for v := 0; v < d.n; v++ {
-		l := int32(d.nodeLabels[v])
-		if d.degrees[v] > groupScore[l] {
-			groupScore[l] = d.degrees[v]
+	score := d.groupScores(d.nodeLabIDs, d.degrees)
+	lab := d.nodeLabIDs
+	slices.SortStableFunc(order[:d.n], func(va, vb int) int {
+		if c := cmp.Compare(score[lab[vb]], score[lab[va]]); c != 0 {
+			return c
 		}
-	}
-	real := order[:d.n]
-	sort.SliceStable(real, func(a, b int) bool {
-		va, vb := real[a], real[b]
-		la, lb := int32(d.nodeLabels[va]), int32(d.nodeLabels[vb])
-		if groupScore[la] != groupScore[lb] {
-			return groupScore[la] > groupScore[lb]
+		if c := cmp.Compare(d.nodeLabels[va], d.nodeLabels[vb]); c != 0 {
+			return c
 		}
-		if la != lb {
-			return la < lb
+		if c := cmp.Compare(d.degrees[vb], d.degrees[va]); c != 0 {
+			return c
 		}
-		if d.degrees[va] != d.degrees[vb] {
-			return d.degrees[va] > d.degrees[vb]
-		}
-		return va < vb
+		return cmp.Compare(va, vb)
 	})
+	d.clearGroupScores(lab)
 }
 
 // rerankEdges fills order (length paddedM) with the source hyperedge slot
@@ -52,26 +48,38 @@ func rerankEdges(order []int, d *graphData, disable bool) {
 	if disable || d.m == 0 {
 		return
 	}
-	groupScore := make(map[int32]int)
-	for e := 0; e < d.m; e++ {
-		l := int32(d.edgeLabels[e])
-		if d.cards[e] > groupScore[l] {
-			groupScore[l] = d.cards[e]
+	score := d.groupScores(d.edgeLabIDs, d.cards)
+	lab := d.edgeLabIDs
+	slices.SortStableFunc(order[:d.m], func(ea, eb int) int {
+		if c := cmp.Compare(score[lab[eb]], score[lab[ea]]); c != 0 {
+			return c
 		}
-	}
-	real := order[:d.m]
-	sort.SliceStable(real, func(a, b int) bool {
-		ea, eb := real[a], real[b]
-		la, lb := int32(d.edgeLabels[ea]), int32(d.edgeLabels[eb])
-		if groupScore[la] != groupScore[lb] {
-			return groupScore[la] > groupScore[lb]
+		if c := cmp.Compare(d.edgeLabels[ea], d.edgeLabels[eb]); c != 0 {
+			return c
 		}
-		if la != lb {
-			return la < lb
+		if c := cmp.Compare(d.cards[eb], d.cards[ea]); c != 0 {
+			return c
 		}
-		if d.cards[ea] != d.cards[eb] {
-			return d.cards[ea] > d.cards[eb]
-		}
-		return ea < eb
+		return cmp.Compare(ea, eb)
 	})
+	d.clearGroupScores(lab)
+}
+
+// groupScores returns d.groupScore holding, per label id of lab, the
+// largest of the entities' sizes (degree or cardinality) carrying it.
+func (d *graphData) groupScores(lab []int32, size []int) []int {
+	for len(d.groupScore) < len(d.dict) {
+		d.groupScore = append(d.groupScore, 0)
+	}
+	for i, l := range lab {
+		d.groupScore[l] = max(d.groupScore[l], size[i])
+	}
+	return d.groupScore
+}
+
+// clearGroupScores restores groupScore to all zeros after groupScores.
+func (d *graphData) clearGroupScores(lab []int32) {
+	for _, l := range lab {
+		d.groupScore[l] = 0
+	}
 }

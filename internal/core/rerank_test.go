@@ -9,7 +9,7 @@ import (
 // compile returns g's compiled form.
 func compile(g *hypergraph.Hypergraph) *graphData {
 	d := new(graphData)
-	d.reset(g)
+	d.compile(g.Freeze(), nil)
 	return d
 }
 

@@ -21,6 +21,11 @@ type solver struct {
 // within is Within on this solver's retained storage.
 func (sv *solver) within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
 	sv.p.init(g, h, opts.costModel())
+	return sv.run(tau, opts)
+}
+
+// run searches the pair this solver holds compiled, bounded at tau.
+func (sv *solver) run(tau int, opts Options) (Result, bool) {
 	sv.search.init(&sv.p, opts)
 	res := sv.search.run(opts, tau)
 	return res, res.Within(tau)
@@ -50,6 +55,38 @@ func Within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
 	sv := solverPool.Get().(*solver)
 	defer solverPool.Put(sv)
 	return sv.within(g, h, tau, opts)
+}
+
+// WithinInduced is Within(host.InducedSubgraph(a), host.InducedSubgraph(b),
+// tau, opts), Result for Result, without building either subgraph: both
+// node sets are compiled straight from host's frozen CSR into the pooled
+// solver. a and b must ascend without duplicates. It is the σ miss path of
+// HEP-BFS, whose context egos are such sets.
+func WithinInduced(host *hypergraph.Hypergraph, a, b []hypergraph.NodeID, tau int, opts Options) (Result, bool) {
+	mustAscend(a)
+	mustAscend(b)
+	solverAcquires.Add(1)
+	sv := solverPool.Get().(*solver)
+	defer solverPool.Put(sv)
+	c := host.Freeze()
+	// A nil set would select the whole host.
+	sv.p.compile(c, nonNil(a), c, nonNil(b), opts.costModel())
+	return sv.run(tau, opts)
+}
+
+func mustAscend(set []hypergraph.NodeID) {
+	for i := 1; i < len(set); i++ {
+		if set[i] <= set[i-1] {
+			panic("core: induced node set does not strictly ascend")
+		}
+	}
+}
+
+func nonNil(set []hypergraph.NodeID) []hypergraph.NodeID {
+	if set == nil {
+		return []hypergraph.NodeID{}
+	}
+	return set
 }
 
 // PoolStats reports how often Within was served by a warm pooled

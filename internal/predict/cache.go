@@ -100,9 +100,9 @@ type egoRef struct {
 }
 
 // internEgos interns the sets of one round of egos under a single lock
-// acquisition and fills in their ids. New sets are retained; callers must
-// not mutate them afterwards. At Parallelism > 1 the ids depend on
-// scheduling, so they only ever name memo entries.
+// acquisition and fills in their ids; new sets are copied. At
+// Parallelism > 1 the ids depend on scheduling, so they only ever name memo
+// entries.
 func (c *pairCache) internEgos(egos []egoRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,9 +132,13 @@ func (c *pairCache) fullDistance(u, v hypergraph.NodeID, budget int) (int, bool)
 	if c.metric != nil {
 		return c.metric(c.g, u, v, budget)
 	}
-	return c.distance(newSigmaKey(fullGraph, int32(u), int32(v)), budget, func() (eu, ev *hypergraph.Hypergraph, ok bool) {
-		eu, ev = c.g.Ego(u), c.g.Ego(v)
-		return eu, ev, c.maxEgo <= 0 || eu.NumNodes() <= c.maxEgo && ev.NumNodes() <= c.maxEgo
+	return c.distance(newSigmaKey(fullGraph, int32(u), int32(v)), budget, func(opts core.Options) (core.Result, bool, bool) {
+		eu, ev := c.g.Ego(u), c.g.Ego(v)
+		if c.maxEgo > 0 && (eu.NumNodes() > c.maxEgo || ev.NumNodes() > c.maxEgo) {
+			return core.Result{}, false, false
+		}
+		res, within := c.solver.Within(eu, ev, budget, opts)
+		return res, within, true
 	})
 }
 
@@ -143,25 +147,27 @@ func (c *pairCache) fullDistance(u, v hypergraph.NodeID, budget int) (int, bool)
 // host. The set that compares smaller is the solve's source, so the
 // direction never depends on the scheduling-dependent ids. Two equal sets
 // are a key like any other: solved once, then answered by the memo. The
-// egos are built with InducedSubgraph, not Ego, so nothing of them outlives
-// the job in the host's ego cache.
+// egos are never taken from Ego, so nothing of them outlives the job in
+// the host's ego cache; HEP-BFS does not build them at all.
 func (c *pairCache) contextDistance(x, y egoRef, budget int) (int, bool) {
 	if c.metric != nil {
 		return c.metric(c.g, x.node, y.node, budget)
 	}
-	return c.distance(newSigmaKey(egoPair, x.id, y.id), budget, func() (eu, ev *hypergraph.Hypergraph, ok bool) {
-		if slices.Compare(x.set, y.set) > 0 {
-			x, y = y, x
+	return c.distance(newSigmaKey(egoPair, x.id, y.id), budget, func(opts core.Options) (core.Result, bool, bool) {
+		a, b := x.set, y.set
+		if slices.Compare(a, b) > 0 {
+			a, b = b, a
 		}
-		return c.g.InducedSubgraph(x.set), c.g.InducedSubgraph(y.set), true
+		res, within := c.solver.withinInduced(c.g, a, b, budget, opts)
+		return res, within, true
 	})
 }
 
-// distance returns the σ memoized under key, solving it on a miss between
-// the ego networks egos supplies. egos reports ok=false for a pair that must
-// not be solved; it is answered "not within", and neither memoized nor
-// counted as computed.
-func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hypergraph.Hypergraph, ok bool)) (int, bool) {
+// distance returns the σ memoized under key, running solve on a miss: a
+// verification at the budget under opts, which reports ok=false for a pair
+// that must not be solved. Such a pair is answered "not within", and
+// neither memoized nor counted as computed.
+func (c *pairCache) distance(key sigmaKey, budget int, solve func(opts core.Options) (res core.Result, within, ok bool)) (int, bool) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.memo[key]; ok {
@@ -177,11 +183,7 @@ func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hype
 			c.wait[key] = ch
 			c.mu.Unlock()
 
-			eu, ev, ok := egos()
-			var e cacheEntry
-			if ok {
-				e = c.solve(eu, ev, budget)
-			}
+			res, within, ok := solve(core.Options{MaxExpansions: c.maxExp})
 			c.mu.Lock()
 			delete(c.wait, key)
 			close(ch)
@@ -189,6 +191,8 @@ func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hype
 				c.mu.Unlock()
 				return 0, false
 			}
+			e := entryOf(res, within, budget)
+			c.expanded += res.Expanded
 			c.computed++
 			c.memo[key] = e
 			c.mu.Unlock()
@@ -204,17 +208,13 @@ func (c *pairCache) distance(key sigmaKey, budget int, egos func() (eu, ev *hype
 	}
 }
 
-// solve runs the configured HGED solver as a verification at the budget
-// (Algorithm.Within) and converts the result to a cache entry. A result
-// within the budget is cached as the distance; under an expansion cap it
-// is an upper bound, which still certifies "within budget". Any other
-// result, a capped upper bound above the budget included, is
-// conservatively "not within", as the budget-capped paper variants behave.
-func (c *pairCache) solve(eu, ev *hypergraph.Hypergraph, budget int) cacheEntry {
-	res, within := c.solver.Within(eu, ev, budget, core.Options{MaxExpansions: c.maxExp})
-	c.mu.Lock()
-	c.expanded += res.Expanded
-	c.mu.Unlock()
+// entryOf converts a verification at the budget (Algorithm.Within) to a
+// cache entry. A result within the budget is cached as the distance; under
+// an expansion cap it is an upper bound, which still certifies "within
+// budget". Any other result, a capped upper bound above the budget
+// included, is conservatively "not within", as the budget-capped paper
+// variants behave.
+func entryOf(res core.Result, within bool, budget int) cacheEntry {
 	if !within {
 		return cacheEntry{Bound: int32(budget)}
 	}

@@ -38,16 +38,18 @@ func sameGraph(a, b *hypergraph.Hypergraph) string {
 // incidence lists to the graphs they stand for: for every member x of a
 // sorted candidate C, the host's sub-hypergraph induced on A_x must be
 // InducedSubgraph(C).Ego(x), node for node and hyperedge for hyperedge.
+// Both walks egoSet chooses between (x's incidence list, or the other
+// members' lists) must give that set, and each must be the one chosen for
+// some candidate; so must the frontier of C∖{x}, through which admit reads
+// the set of a node x joining C∖{x}.
 func TestContextEgoSetsMatchInduced(t *testing.T) {
+	chosen := [2]int{}
 	for seed := int64(1); seed <= 4; seed++ {
 		g, _, err := gen.PlantedCommunities(gen.Config{Nodes: 40, Edges: 80, MeanEdgeSize: 3, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(g, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := g.Freeze()
 		rng := rand.New(rand.NewSource(seed))
 		nontrivial := 0
 		for trial := 0; trial < 300; trial++ {
@@ -68,12 +70,32 @@ func TestContextEgoSetsMatchInduced(t *testing.T) {
 			slices.Sort(c)
 			sub := g.InducedSubgraph(c)
 			for i, x := range c {
-				set := p.egoSet(c, x)
+				set := egoSet(nil, h, c, x)
 				if len(set) > 1 {
 					nontrivial++
 				}
 				if diff := sameGraph(g.InducedSubgraph(set), sub.Ego(hypergraph.NodeID(i))); diff != "" {
 					t.Fatalf("seed %d, C = %v, x = %d: A_x = %v: %s", seed, c, x, set, diff)
+				}
+				// admit's view: x joining S = C∖{x}, its ties read off
+				// the frontier of S.
+				var f frontier
+				f.build(h, slices.Delete(slices.Clone(c), i, i+1))
+				fromTies := []hypergraph.NodeID{x}
+				for _, tie := range f.ties(x) {
+					fromTies = append(fromTies, h.Members(tie.e)...)
+				}
+				slices.Sort(fromTies)
+				if fromTies = slices.Compact(fromTies); !slices.Equal(fromTies, set) {
+					t.Fatalf("seed %d, C = %v, x = %d: the frontier of C∖{x} ties x to %v, want %v", seed, c, x, fromTies, set)
+				}
+				for via, viaOthers := range []bool{false, true} {
+					if got := egoSetVia(nil, h, c, x, viaOthers); !slices.Equal(got, set) {
+						t.Fatalf("seed %d, C = %v, x = %d: walk via others %v gives %v, want %v", seed, c, x, viaOthers, got, set)
+					}
+					if slices.Equal(egoSet(nil, h, c, x), set) && shorterViaOthers(h, c, x) == viaOthers {
+						chosen[via]++
+					}
 				}
 			}
 		}
@@ -81,6 +103,20 @@ func TestContextEgoSetsMatchInduced(t *testing.T) {
 			t.Fatalf("seed %d: every ego set was a singleton; the test compared nothing", seed)
 		}
 	}
+	if chosen[0] == 0 || chosen[1] == 0 {
+		t.Fatalf("egoSet chose x's own list %d times and the others' lists %d times; want both", chosen[0], chosen[1])
+	}
+}
+
+// shorterViaOthers restates egoSet's choice of walk.
+func shorterViaOthers(h *hypergraph.CSR, c []hypergraph.NodeID, x hypergraph.NodeID) bool {
+	others := 0
+	for _, y := range c {
+		if y != x {
+			others += h.Degree(y)
+		}
+	}
+	return others < h.Degree(x)
 }
 
 // TestSharedEgoPairSolvedOnce pins the ego-pair key: two different
@@ -104,7 +140,8 @@ func TestSharedEgoPairSolvedOnce(t *testing.T) {
 	contexts := [][]hypergraph.NodeID{{0, 1, 2, 3}, {0, 1, 2, 3, 6}}
 	for round, c := range contexts {
 		// Both orders of the pair name the same entry.
-		egos := p.contextEgos(c, []hypergraph.NodeID{3, 0})
+		var sc egoScratch
+		egos := p.contextEgos(&sc, g.Freeze(), c, []hypergraph.NodeID{3, 0})
 		if !slices.Equal(egos[1].set, []hypergraph.NodeID{0, 1, 2}) || !slices.Equal(egos[0].set, []hypergraph.NodeID{2, 3}) {
 			t.Fatalf("C = %v: ego sets %v and %v, want [0 1 2] and [2 3]", c, egos[1].set, egos[0].set)
 		}
@@ -116,6 +153,27 @@ func TestSharedEgoPairSolvedOnce(t *testing.T) {
 		}
 		if st := p.Stats(); st.PairsComputed != 1 || st.PairsCached != round {
 			t.Fatalf("after C = %v: %d computed, %d cached; want 1 and %d", c, st.PairsComputed, st.PairsCached, round)
+		}
+	}
+}
+
+// TestEgoSetAllocFree pins egoSet's scratch to the stack for candidates of
+// up to egoSetStack members, by either walk: with room in dst it
+// allocates nothing.
+func TestEgoSetAllocFree(t *testing.T) {
+	g, _, err := gen.PlantedCommunities(gen.Config{Nodes: 40, Edges: 80, MeanEdgeSize: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Freeze()
+	c := g.Neighbors(0)[:min(egoSetStack, g.NumNeighbors(0))]
+	dst := make([]hypergraph.NodeID, 0, len(c))
+	for _, viaOthers := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(20, func() {
+			dst = egoSetVia(dst[:0], h, c, c[0], viaOthers)
+		})
+		if allocs > 0 {
+			t.Fatalf("egoSet via others %v allocated %.1f per call, want 0", viaOthers, allocs)
 		}
 	}
 }

@@ -27,11 +27,16 @@ func hashNodeIDs(nodes []hypergraph.NodeID) uint64 {
 
 // nodeSets interns node sets, each sorted ascending, to dense int32 ids in
 // order of first sight. Sets are hashed into collision-checked buckets, so
-// distinct sets never share an id.
+// distinct sets never share an id. Each added set is copied into a shared
+// chunk, so callers may reuse what they pass in.
 type nodeSets struct {
 	buckets map[uint64][]int32
 	sets    [][]hypergraph.NodeID
+	chunk   []hypergraph.NodeID // free tail of the current copy chunk
 }
+
+// setChunk is the size, in node ids, of nodeSets' copy chunks.
+const setChunk = 1024
 
 func newNodeSets(sizeHint int) nodeSets {
 	return nodeSets{buckets: make(map[uint64][]int32, sizeHint)}
@@ -51,15 +56,21 @@ func (s *nodeSets) contains(nodes []hypergraph.NodeID) bool {
 	return ok
 }
 
-// intern returns the id of the set and whether it was added now. An added
-// slice is retained; callers must not mutate it afterwards.
+// intern returns the id of the set and whether it was added now.
 func (s *nodeSets) intern(nodes []hypergraph.NodeID) (int32, bool) {
 	h := hashNodeIDs(nodes)
 	if id, ok := s.find(nodes, h); ok {
 		return id, false
 	}
+	k := len(nodes)
+	if len(s.chunk) < k {
+		s.chunk = make([]hypergraph.NodeID, max(setChunk, k))
+	}
+	set := s.chunk[:k:k]
+	copy(set, nodes)
+	s.chunk = s.chunk[k:]
 	id := int32(len(s.sets))
-	s.sets = append(s.sets, nodes)
+	s.sets = append(s.sets, set)
 	s.buckets[h] = append(s.buckets[h], id)
 	return id, true
 }

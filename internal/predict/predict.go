@@ -26,11 +26,14 @@
 // σ(u, v) depends only on the two ego node sets NEI_{G_S}(u) and
 // NEI_{G_S}(v), so context σ is keyed by that pair of sets and is shared by
 // every candidate that induces the same two egos. The sets are read off the
-// host's incidence lists; no candidate's G_S is ever built. Seeds can be
+// host's incidence lists; no candidate's G_S is ever built, and HEP-BFS
+// compiles the two egos of a σ miss straight from the host's CSR into the
+// solver (core.WithinInduced) without building them either. Seeds can be
 // processed in parallel without changing the output.
 package predict
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -85,6 +88,17 @@ func (a Algorithm) Within(g, h *hypergraph.Hypergraph, tau int, opts core.Option
 		return core.Within(g, h, tau, opts)
 	}
 	return res, res.Within(tau)
+}
+
+// withinInduced is Within on the sub-hypergraphs the ascending node sets x
+// and y induce on host. HGED-BFS compiles both straight from host's CSR
+// (core.WithinInduced); HGED-DFS and HGED-HEU solve on the built
+// subgraphs.
+func (a Algorithm) withinInduced(host *hypergraph.Hypergraph, x, y []hypergraph.NodeID, tau int, opts core.Options) (core.Result, bool) {
+	if a == AlgBFS {
+		return core.WithinInduced(host, x, y, tau, opts)
+	}
+	return a.Within(host.InducedSubgraph(x), host.InducedSubgraph(y), tau, opts)
 }
 
 func (a Algorithm) String() string {
@@ -334,14 +348,15 @@ func (p *Predictor) collectSeeds() []seed {
 
 // processSeed grows one seed and peels it to a verified (λ,τ)-hyperedge.
 func (p *Predictor) processSeed(sd seed) []Prediction {
-	s := p.grow(sd)
+	var sc egoScratch
+	s := p.grow(sd, &sc)
 	if len(s) < p.opts.MinSize {
 		return nil
 	}
 	p.mu.Lock()
 	p.grown++
 	p.mu.Unlock()
-	s = p.peel(s)
+	s = p.peel(s, &sc)
 	if len(s) < p.opts.MinSize || len(s) > p.opts.MaxSize {
 		return nil
 	}
@@ -352,7 +367,8 @@ func (p *Predictor) processSeed(sd seed) []Prediction {
 // joins when, inside the induced sub-hypergraph on S∪{w}, w is tied to at
 // least one member by a fully contained hyperedge and σ ≤ τ holds against
 // every induced neighbor of w.
-func (p *Predictor) grow(sd seed) []hypergraph.NodeID {
+func (p *Predictor) grow(sd seed, sc *egoScratch) []hypergraph.NodeID {
+	h := p.g.Freeze()
 	inS := make(map[hypergraph.NodeID]int, p.opts.MaxSize) // node → hop
 	var s []hypergraph.NodeID
 	for _, v := range sd.nodes {
@@ -373,7 +389,7 @@ func (p *Predictor) grow(sd seed) []hypergraph.NodeID {
 			if _, in := inS[w]; in {
 				continue
 			}
-			if p.admit(s, w) {
+			if p.admit(h, s, w, sc) {
 				inS[w] = inS[v] + 1
 				s = append(s, w)
 				queue = append(queue, w)
@@ -384,17 +400,42 @@ func (p *Predictor) grow(sd seed) []hypergraph.NodeID {
 	return s
 }
 
+// egoScratch is the reusable storage of one seed's rounds, which run in
+// sequence: the candidate of admit with the frontier of its members, and
+// the egos of a round with the arena their sets live in. A round's ego
+// sets are valid until the next round; the memo's interner keeps its own
+// copies.
+type egoScratch struct {
+	c, aw []hypergraph.NodeID
+	front frontier
+	egos  []egoRef
+	arena []hypergraph.NodeID
+}
+
 // admit checks the incremental Definition-4 τ condition for candidate w
 // against set s: inside C = S∪{w}, w must share a hyperedge with a member,
-// and σ ≤ τ must hold against each of them, in ascending order.
-func (p *Predictor) admit(s []hypergraph.NodeID, w hypergraph.NodeID) bool {
-	c := append(append(make([]hypergraph.NodeID, 0, len(s)+1), s...), w)
-	slices.Sort(c)
-	aw := p.egoSet(c, w)
-	if len(aw) <= 1 {
+// and σ ≤ τ must hold against each of them, in ascending order. Set s only
+// grows between calls within one seed.
+func (p *Predictor) admit(h *hypergraph.CSR, s []hypergraph.NodeID, w hypergraph.NodeID, sc *egoScratch) bool {
+	if len(sc.front.members) != len(s) {
+		sc.front.build(h, s)
+	}
+	// A_w is w and the members of the hyperedges tying it to S.
+	ties := sc.front.ties(w)
+	if len(ties) == 0 {
 		return false // isolated inside the candidate: no structural tie
 	}
-	egos := p.contextEgos(c, aw)
+	aw := append(sc.aw[:0], w)
+	for _, t := range ties {
+		aw = append(aw, h.Members(t.e)...)
+	}
+	slices.Sort(aw)
+	aw = slices.Compact(aw)
+	sc.aw = aw
+	c := append(append(sc.c[:0], s...), w)
+	slices.Sort(c)
+	sc.c = c
+	egos := p.contextEgos(sc, h, c, aw)
 	wi, _ := slices.BinarySearch(aw, w)
 	for i := range egos {
 		if i == wi {
@@ -407,54 +448,181 @@ func (p *Predictor) admit(s []hypergraph.NodeID, w hypergraph.NodeID) bool {
 	return true
 }
 
-// egoSet returns A_x = NEI_{G_C}(x) for a member x of the sorted candidate
-// c, read off the host's incidence lists: x plus the members of x's host
-// hyperedges that lie wholly inside c, ascending. p.g.InducedSubgraph(A_x)
-// is InducedSubgraph(c).Ego(x) with the same node order, edge order, labels
-// and OrigIDs, because both keep exactly the host hyperedges inside A_x.
-func (p *Predictor) egoSet(c []hypergraph.NodeID, x hypergraph.NodeID) []hypergraph.NodeID {
-	in := make([]bool, len(c))
+// frontier indexes, for a member set S, the host hyperedges with exactly
+// one member outside S by that member. For a node w outside S these are
+// the hyperedges inside S∪{w} that hold w and a member, so
+// NEI_{G_{S∪{w}}}(w) is w with their members. Most neighbors w have none,
+// and are rejected without a walk of their incidence lists.
+type frontier struct {
+	members []hypergraph.NodeID // S, ascending
+	edges   []outEdge           // ascending
+}
+
+// outEdge is a hyperedge e with the one member out outside S.
+type outEdge struct {
+	out hypergraph.NodeID
+	e   hypergraph.EdgeID
+}
+
+// build indexes the frontier of s off h, reusing f's storage.
+func (f *frontier) build(h *hypergraph.CSR, s []hypergraph.NodeID) {
+	f.members = append(f.members[:0], s...)
+	slices.Sort(f.members)
+	in := f.members
+	f.edges = f.edges[:0]
+	for _, v := range in {
+		for _, e := range h.IncidentEdges(v) {
+			members := h.Members(e)
+			if len(members) > len(in)+1 {
+				continue // more than one member outside S
+			}
+			if out, ok := soleOutsider(members, in); ok {
+				f.edges = append(f.edges, outEdge{out: out, e: e})
+			}
+		}
+	}
+	// A hyperedge is met once per member it has in S.
+	slices.SortFunc(f.edges, func(a, b outEdge) int {
+		if a.out != b.out {
+			return cmp.Compare(a.out, b.out)
+		}
+		return cmp.Compare(a.e, b.e)
+	})
+	f.edges = slices.Compact(f.edges)
+}
+
+// ties returns the frontier hyperedges whose member outside S is w.
+func (f *frontier) ties(w hypergraph.NodeID) []outEdge {
+	i, _ := slices.BinarySearchFunc(f.edges, w, func(t outEdge, w hypergraph.NodeID) int { return cmp.Compare(t.out, w) })
+	j := i
+	for j < len(f.edges) && f.edges[j].out == w {
+		j++
+	}
+	return f.edges[i:j]
+}
+
+// soleOutsider returns the one member of the ascending members outside the
+// ascending set in, if there is exactly one.
+func soleOutsider(members, in []hypergraph.NodeID) (hypergraph.NodeID, bool) {
+	var out hypergraph.NodeID
+	outside, i := 0, 0
+	for _, u := range members {
+		for i < len(in) && in[i] < u {
+			i++
+		}
+		if i < len(in) && in[i] == u {
+			continue
+		}
+		if outside++; outside > 1 {
+			return 0, false
+		}
+		out = u
+	}
+	return out, outside == 1
+}
+
+// egoSetStack is the candidate size up to which egoSet keeps its scratch
+// on the stack; HEP's candidates hold at most MaxSize+1 members (9 by
+// default).
+const egoSetStack = 16
+
+// egoSet appends to dst A_x = NEI_{G_C}(x) for a member x of the sorted
+// candidate c, read off the host's frozen CSR h: x plus the members of x's
+// host hyperedges that lie wholly inside c, ascending.
+// h's sub-hypergraph induced on A_x is InducedSubgraph(c).Ego(x) with the
+// same node order, edge order, labels and OrigIDs, because both keep
+// exactly the host hyperedges inside A_x.
+//
+// A hyperedge inside c that holds x adds members only if it holds another
+// member y, and then it is on y's incidence list too. So egoSet walks
+// whichever side is shorter: x's own list, or the other members' lists.
+func egoSet(dst []hypergraph.NodeID, h *hypergraph.CSR, c []hypergraph.NodeID, x hypergraph.NodeID) []hypergraph.NodeID {
+	others := 0
+	for _, y := range c {
+		if y != x {
+			others += h.Degree(y)
+		}
+	}
+	return egoSetVia(dst, h, c, x, others < h.Degree(x))
+}
+
+// egoSetVia is egoSet walking x's incidence list, or with viaOthers the
+// other members' lists; both give the same set.
+func egoSetVia(dst []hypergraph.NodeID, h *hypergraph.CSR, c []hypergraph.NodeID, x hypergraph.NodeID, viaOthers bool) []hypergraph.NodeID {
+	var inBuf [egoSetStack]bool
+	var posBuf [egoSetStack]int
+	in, pos := inBuf[:], posBuf[:0]
+	if len(c) > egoSetStack {
+		in, pos = make([]bool, len(c)), make([]int, 0, len(c))
+	}
+	in = in[:len(c)]
 	xi, _ := slices.BinarySearch(c, x)
 	in[xi] = true
-	size := 1
-	pos := make([]int, 0, len(c)) // an edge inside c has at most len(c) members
-edges:
-	for _, e := range p.g.IncidentEdges(x) {
+	// mark flags the members of e when e lies wholly inside c and holds x.
+	mark := func(e hypergraph.EdgeID) {
+		members := h.Members(e)
+		if len(members) > len(c) {
+			return // cannot fit inside c
+		}
 		// Both lists ascend, so one merge walk places every member.
 		pos = pos[:0]
-		i := 0
-		for _, u := range p.g.Edge(e).Nodes {
+		i, holdsX := 0, false
+		for _, u := range members {
 			for i < len(c) && c[i] < u {
 				i++
 			}
 			if i == len(c) || c[i] != u {
-				continue edges // a member lies outside c
+				return // a member lies outside c
 			}
+			holdsX = holdsX || i == xi
 			pos = append(pos, i)
 		}
-		for _, i := range pos {
-			if !in[i] {
+		if holdsX {
+			for _, i := range pos {
 				in[i] = true
-				size++
 			}
 		}
 	}
-	set := make([]hypergraph.NodeID, 0, size)
-	for i, u := range c {
-		if in[i] {
-			set = append(set, u)
+	if !viaOthers {
+		for _, e := range h.IncidentEdges(x) {
+			mark(e)
+		}
+	} else {
+		for _, y := range c {
+			if y == x {
+				continue
+			}
+			for _, e := range h.IncidentEdges(y) {
+				// Take e once, from its first member other than x.
+				if m := h.Members(e); m[0] == y || m[0] == x && len(m) > 1 && m[1] == y {
+					mark(e)
+				}
+			}
 		}
 	}
-	return set
+	for i, u := range c {
+		if in[i] {
+			dst = append(dst, u)
+		}
+	}
+	return dst
 }
 
 // contextEgos returns the egos of members xs inside the sorted candidate c,
-// their sets interned in one round.
-func (p *Predictor) contextEgos(c, xs []hypergraph.NodeID) []egoRef {
-	egos := make([]egoRef, len(xs))
-	for i, x := range xs {
-		egos[i] = egoRef{node: x, set: p.egoSet(c, x)}
+// read off h, their sets interned in one round. The egos and their sets
+// live in sc until its next round.
+func (p *Predictor) contextEgos(sc *egoScratch, h *hypergraph.CSR, c, xs []hypergraph.NodeID) []egoRef {
+	if k := len(xs) * len(c); cap(sc.arena) < k {
+		sc.arena = make([]hypergraph.NodeID, 0, k) // no set outgrows c
 	}
+	egos := sc.egos[:0]
+	arena := sc.arena[:0]
+	for _, x := range xs {
+		start := len(arena)
+		arena = egoSet(arena, h, c, x)
+		egos = append(egos, egoRef{node: x, set: arena[start:len(arena):len(arena)]})
+	}
+	sc.egos = egos
 	p.cache.internEgos(egos)
 	return egos
 }
@@ -464,10 +632,11 @@ func (p *Predictor) contextEgos(c, xs []hypergraph.NodeID) []egoRef {
 // the most violations. The survivor set is a verified (λ,τ)-hyperedge (or
 // too small to emit). Members i and j of the ascending s are directly
 // connected when s[j] lies in i's ego set.
-func (p *Predictor) peel(s []hypergraph.NodeID) []hypergraph.NodeID {
+func (p *Predictor) peel(s []hypergraph.NodeID, sc *egoScratch) []hypergraph.NodeID {
 	lambdaTau := p.opts.Lambda * p.opts.Tau
+	h := p.g.Freeze()
 	for len(s) >= 2 {
-		egos := p.contextEgos(s, s)
+		egos := p.contextEgos(sc, h, s, s)
 		n := len(s)
 		violations := make([]int, n)
 		total := 0

@@ -215,7 +215,7 @@ func TestPeelEnforcesDefinition4(t *testing.T) {
 	g.AddEdge(1, 1, 2, 3)
 	g.AddEdge(2, 0, 4)
 	p, _ := New(g, Options{Lambda: 1, Tau: 2})
-	s := p.peel([]hypergraph.NodeID{0, 1, 2, 3, 4})
+	s := p.peel([]hypergraph.NodeID{0, 1, 2, 3, 4}, new(egoScratch))
 	for _, v := range s {
 		if v == 4 {
 			t.Fatalf("node 4 should have been peeled, got %v", s)

@@ -47,7 +47,8 @@ func (p *Predictor) cohesion(s []hypergraph.NodeID) (int, float64) {
 	if len(s) < 2 {
 		return 0, 0
 	}
-	egos := p.contextEgos(s, s)
+	var sc egoScratch
+	egos := p.contextEgos(&sc, p.g.Freeze(), s, s)
 	lambdaTau := p.opts.Lambda * p.opts.Tau
 	maxScore, total, pairs := 0, 0, 0
 	for i := range egos {

@@ -103,11 +103,17 @@ type PredictionView struct {
 }
 
 // predStore holds a finished job's predictions compactly in one byte
-// string of signed varints: per prediction its member count, each member
-// as the delta from the one before, and its seed. HEP's node sets are
-// ascending, so most members take one byte instead of four. The
-// server keeps up to JobRetention finished jobs, so this is most of what a
-// retained job costs.
+// string of varints. The server keeps up to JobRetention finished jobs,
+// so this is most of what a retained job costs. Per prediction it holds a
+// header, uvarint(count<<1 | general), then the members and the seed:
+//   - a strictly ascending node set (every HEP prediction) has general
+//     clear: its first member is a signed delta from the previous
+//     prediction's first member (HEP's predictions are sorted, so this is
+//     small), each further member the uvarint gap to the one before, less
+//     one;
+//   - any other node set has general set: each member a signed delta from
+//     the one before, the first from 0;
+//   - the seed is a signed delta from the first member (0 when empty).
 type predStore struct {
 	n, members int
 	enc        []byte
@@ -119,18 +125,46 @@ func packPredictions(preds []hged.Prediction) predStore {
 	}
 	s := predStore{n: len(preds)}
 	var buf []byte
+	prevFirst := int64(0)
 	for _, p := range preds {
-		buf = binary.AppendVarint(buf, int64(len(p.Nodes)))
-		prev := int64(0)
-		for _, v := range p.Nodes {
-			buf = binary.AppendVarint(buf, int64(v)-prev)
-			prev = int64(v)
+		general := !strictlyAscending(p.Nodes)
+		hdr := uint64(len(p.Nodes)) << 1
+		if general {
+			hdr |= 1
 		}
-		buf = binary.AppendVarint(buf, int64(p.Seed))
+		buf = binary.AppendUvarint(buf, hdr)
+		first := int64(0)
+		if len(p.Nodes) > 0 {
+			first = int64(p.Nodes[0])
+		}
+		switch {
+		case general:
+			prev := int64(0)
+			for _, v := range p.Nodes {
+				buf = binary.AppendVarint(buf, int64(v)-prev)
+				prev = int64(v)
+			}
+		case len(p.Nodes) > 0:
+			buf = binary.AppendVarint(buf, first-prevFirst)
+			prevFirst = first
+			for i := 1; i < len(p.Nodes); i++ {
+				buf = binary.AppendUvarint(buf, uint64(int64(p.Nodes[i])-int64(p.Nodes[i-1])-1))
+			}
+		}
+		buf = binary.AppendVarint(buf, int64(p.Seed)-first)
 		s.members += len(p.Nodes)
 	}
 	s.enc = slices.Clone(buf)
 	return s
+}
+
+func strictlyAscending(nodes []hged.NodeID) bool {
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i] <= nodes[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // views expands the store into wire shapes; node lists are capped
@@ -139,20 +173,43 @@ func (s predStore) views() []PredictionView {
 	out := make([]PredictionView, s.n)
 	nodes := make([]hged.NodeID, 0, s.members)
 	enc := s.enc
-	next := func() int64 {
+	signed := func() int64 {
 		x, k := binary.Varint(enc)
 		enc = enc[k:]
 		return x
 	}
+	unsigned := func() uint64 {
+		x, k := binary.Uvarint(enc)
+		enc = enc[k:]
+		return x
+	}
+	prevFirst := int64(0)
 	for i := range out {
+		hdr := unsigned()
+		count, general := int(hdr>>1), hdr&1 == 1
 		start := len(nodes)
-		prev := int64(0)
-		for range next() {
-			prev += next()
-			nodes = append(nodes, hged.NodeID(prev))
+		switch {
+		case general:
+			prev := int64(0)
+			for range count {
+				prev += signed()
+				nodes = append(nodes, hged.NodeID(prev))
+			}
+		case count > 0:
+			prevFirst += signed()
+			v := prevFirst
+			nodes = append(nodes, hged.NodeID(v))
+			for range count - 1 {
+				v += int64(unsigned()) + 1
+				nodes = append(nodes, hged.NodeID(v))
+			}
 		}
 		end := len(nodes)
-		out[i] = PredictionView{Nodes: nodes[start:end:end], Seed: hged.NodeID(next())}
+		first := int64(0)
+		if end > start {
+			first = int64(nodes[start])
+		}
+		out[i] = PredictionView{Nodes: nodes[start:end:end], Seed: hged.NodeID(first + signed())}
 	}
 	return out
 }
@@ -344,6 +401,9 @@ func (m *JobManager) worker() {
 
 func (m *JobManager) runJob(job *Job) {
 	defer close(job.done)
+	// Release the job's context once it ends; until then it stays among
+	// the base context's children, for the life of the manager.
+	defer job.cancel()
 	ctx := job.ctx
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hged"
@@ -11,27 +12,17 @@ import (
 
 // TestPredStoreJSONIdentical checks that the compact job-result store
 // serializes exactly like the per-prediction views it replaced, including
-// the omitted field of a job with no predictions. Node sets come unsorted,
-// with repeats, and from iteration 50 on with ids of up to 31 bits.
+// the omitted field of a job with no predictions. Even iterations hold
+// what HEP emits, strictly ascending node sets in sorted order; odd ones
+// hold node sets unsorted and with repeats. Sets have one to eight
+// members, seeds are drawn at random (mostly outside the set, often below
+// its first member), and from iteration 100 on ids reach 2^31−1, the last
+// quarter of them packed just below it. A fixed store covers the edge
+// cases by hand.
 func TestPredStoreJSONIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 100; iter++ {
-		maxID := 1000
-		if iter >= 50 {
-			maxID = 1<<31 - 1
-		}
-		n := rng.Intn(40)
-		if iter == 0 {
-			n = 0
-		}
-		preds := make([]hged.Prediction, n)
-		for i := range preds {
-			nodes := make([]hged.NodeID, 2+rng.Intn(7))
-			for k := range nodes {
-				nodes[k] = hged.NodeID(rng.Intn(maxID))
-			}
-			preds[i] = hged.Prediction{Nodes: nodes, Seed: hged.NodeID(rng.Intn(maxID))}
-		}
+	const maxNodeID = 1<<31 - 1
+	check := func(name string, preds []hged.Prediction) {
+		t.Helper()
 		old := JobView{Predictions: make([]PredictionView, len(preds))}
 		for i, p := range preds {
 			old.Predictions[i] = PredictionView{Nodes: p.Nodes, Seed: p.Seed}
@@ -45,7 +36,49 @@ func TestPredStoreJSONIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("iter %d: compact store JSON\n%s\nwant\n%s", iter, got, want)
+			t.Fatalf("%s: compact store JSON\n%s\nwant\n%s", name, got, want)
 		}
+	}
+	check("empty store", nil)
+	check("edge cases", []hged.Prediction{
+		{Nodes: []hged.NodeID{5}, Seed: 5},                                       // one member, seed inside
+		{Nodes: []hged.NodeID{7}, Seed: 2},                                       // one member, seed below it
+		{Nodes: []hged.NodeID{3, 9}, Seed: 40},                                   // first member below the previous one, seed above
+		{Nodes: []hged.NodeID{0, maxNodeID}, Seed: maxNodeID},                    // widest gap
+		{Nodes: []hged.NodeID{maxNodeID - 2, maxNodeID - 1, maxNodeID}, Seed: 0}, // ids at the top, seed at the bottom
+		{Nodes: []hged.NodeID{maxNodeID, 0}, Seed: maxNodeID},                    // descending
+		{Nodes: []hged.NodeID{4, 4}, Seed: 4},                                    // a repeat
+		{Nodes: []hged.NodeID{1, 2}, Seed: 1},                                    // back to ascending after general sets
+		{Nodes: []hged.NodeID{maxNodeID - 1, maxNodeID}, Seed: maxNodeID - 1},    // first-member delta near 2^31
+		{Nodes: []hged.NodeID{0}, Seed: maxNodeID},                               // and back down
+	})
+
+	rng := rand.New(rand.NewSource(1))
+	for iter := 1; iter < 200; iter++ {
+		lo, hi := 0, 1000
+		if iter >= 100 {
+			hi = maxNodeID
+		}
+		if iter >= 150 {
+			lo = maxNodeID - 50
+		}
+		id := func() hged.NodeID { return hged.NodeID(lo + rng.Intn(hi-lo+1)) }
+		ascending := iter%2 == 0
+		preds := make([]hged.Prediction, 1+rng.Intn(40))
+		for i := range preds {
+			nodes := make([]hged.NodeID, 1+rng.Intn(8))
+			for k := range nodes {
+				nodes[k] = id()
+			}
+			if ascending {
+				slices.Sort(nodes)
+				nodes = slices.Compact(nodes)
+			}
+			preds[i] = hged.Prediction{Nodes: nodes, Seed: id()}
+		}
+		if ascending {
+			slices.SortFunc(preds, func(a, b hged.Prediction) int { return slices.Compare(a.Nodes, b.Nodes) })
+		}
+		check("random store", preds)
 	}
 }
