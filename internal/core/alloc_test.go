@@ -16,9 +16,9 @@ import (
 func TestSolverBFSAllocBound(t *testing.T) {
 	g, h := egoPair()
 	sv := new(solver)
-	want, _ := sv.within(g, h, unbounded, Options{})
+	want, _ := sv.within(AlgBFS, g, h, unbounded, Options{})
 	allocs := testing.AllocsPerRun(20, func() {
-		if res, _ := sv.within(g, h, unbounded, Options{}); res.Distance != want.Distance {
+		if res, _ := sv.within(AlgBFS, g, h, unbounded, Options{}); res.Distance != want.Distance {
 			t.Errorf("distance drifted: %d vs %d", res.Distance, want.Distance)
 		}
 	})

@@ -52,7 +52,6 @@ func TestSolversHonorCancelledContext(t *testing.T) {
 		}{
 			{"BFS", func() Result { return BFS(g, h, opts) }},
 			{"DFS", func() Result { return DFS(g, h, opts) }},
-			{"DFSHungarian", func() Result { return DFSHungarian(g, h, opts) }},
 			{"HEU", func() Result { return HEU(g, h, opts) }},
 		} {
 			name := fmt.Sprintf("%s %d nodes", tc.name, g.NumNodes())

@@ -6,22 +6,32 @@ import "hged/internal/hypergraph"
 // replaced by the exact bipartite-graph-based computation of Algorithm 2. It
 // enumerates node mappings depth-first and, for each complete node mapping,
 // finds the optimal hyperedge mapping by permutation enumeration with
-// incumbent pruning (the paper's formulation). DFSHungarian is the same
-// search with the Hungarian solver in the leaf (the E10 ablation; both are
-// exact).
+// incumbent pruning (the paper's formulation).
 //
 // Faithful to the paper, HGED-DFS applies no re-ranking and no lower-bound
 // estimation ("it is hard to find some lower bounds while using the DFS
 // metric"); it prunes only on the accumulated exact cost against the
 // incumbent and the threshold.
 func DFS(g, h *hypergraph.Hypergraph, opts Options) Result {
-	return searchNodeMaps(g, h, opts, permutationLeaf).exactResult()
+	res, _ := AlgDFS.Within(g, h, opts.Tau(), opts)
+	return res
 }
 
-// DFSHungarian is DFS with the per-node-mapping edge cost computed by the
-// Hungarian solver; exposed for the E10 ablation benchmarks.
-func DFSHungarian(g, h *hypergraph.Hypergraph, opts Options) Result {
-	return searchNodeMaps(g, h, opts, assignmentLeaf).exactResult()
+// dfs runs HGED-DFS on the compiled pair p. A best total above τ is
+// reported as exceedance at the proven lower bound τ+1, without a path;
+// otherwise the best mapping's path accompanies the distance.
+func dfs(p *pair, opts Options) Result {
+	s := searchNodeMaps(p, opts, permutationLeaf)
+	res := s.result()
+	if tau := opts.Tau(); s.best > tau {
+		res.Exceeded = true
+		res.Distance = tau + 1 // proven lower bound when Exact
+		return res
+	}
+	if s.best < unbounded { // a leaf recorded a mapping
+		res.Path = p.extractPath(p.mapping(s.bestNodeMap, s.bestEdgeMap))
+	}
+	return res
 }
 
 // permutationLeaf prices a complete node mapping by Algorithm 2, under the
@@ -34,33 +44,6 @@ func permutationLeaf(s *nodeMapSearch, accNode int) (int, []int, bool) {
 		s.capped = true
 	}
 	return accNode + cost, edgeMap, edgeMap != nil
-}
-
-// assignmentLeaf prices a complete node mapping by the Hungarian optimal
-// hyperedge assignment.
-func assignmentLeaf(s *nodeMapSearch, accNode int) (int, []int, bool) {
-	edgeMap := s.p.edgeAssignment(s.nodeMap)
-	total := accNode
-	for e, f := range edgeMap {
-		total += s.p.edgeCost(e, f, s.nodeMap)
-	}
-	return total, edgeMap, true
-}
-
-// exactResult assembles the result of an exact leaf procedure: a best total
-// above τ is reported as exceedance at the proven lower bound τ+1, without a
-// path; otherwise the best mapping's path accompanies the distance.
-func (s *nodeMapSearch) exactResult() Result {
-	res := s.result()
-	if tau := s.opts.Tau(); s.best > tau {
-		res.Exceeded = true
-		res.Distance = tau + 1 // proven lower bound when Exact
-		return res
-	}
-	if s.best < unbounded { // a leaf recorded a mapping
-		res.Path = s.p.extractPath(s.p.mapping(s.bestNodeMap, s.bestEdgeMap))
-	}
-	return res
 }
 
 // edgePermutation is Algorithm 2: the cheapest hyperedge mapping under the

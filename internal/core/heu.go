@@ -3,8 +3,8 @@ package core
 import "hged/internal/hypergraph"
 
 // nodeMapSearch is Algorithm 1's depth-first enumeration of complete padded
-// node mappings, shared by HGED-HEU, HGED-DFS and DFS-Hungarian: the three
-// differ only in the leaf procedure that prices a complete node mapping. The
+// node mappings, shared by HGED-HEU and HGED-DFS: the two differ only in
+// the leaf procedure that prices a complete node mapping. The
 // search owns the expansion count, the cap and context polls, and the prune:
 // a branch whose accumulated node cost reaches min(best, τ+1) is abandoned,
 // since a leaf's total is at least its node cost.
@@ -32,10 +32,9 @@ type nodeMapSearch struct {
 // s.capped.
 type leafCost func(s *nodeMapSearch, accNode int) (total int, edgeMap []int, ok bool)
 
-// searchNodeMaps runs the enumeration on (g, h) with the given leaf
-// procedure and returns the finished search for result assembly.
-func searchNodeMaps(g, h *hypergraph.Hypergraph, opts Options, leaf leafCost) *nodeMapSearch {
-	p := newPairModel(g, h, opts.costModel())
+// searchNodeMaps runs the enumeration on the compiled pair p with the given
+// leaf procedure and returns the finished search for result assembly.
+func searchNodeMaps(p *pair, opts Options, leaf leafCost) *nodeMapSearch {
 	s := &nodeMapSearch{
 		p:       p,
 		opts:    opts,
@@ -97,9 +96,13 @@ func (s *nodeMapSearch) result() Result {
 // expansion budget bounds worst-case O(n!) behaviour; when it is hit the
 // best instance so far is returned with Exact=false.
 func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
-	s := searchNodeMaps(g, h, opts, func(s *nodeMapSearch, _ int) (int, []int, bool) {
-		return s.p.edcInaccurate(s.nodeMap), nil, true
-	})
+	res, _ := AlgHEU.Within(g, h, opts.Tau(), opts)
+	return res
+}
+
+// heu runs HGED-HEU on the compiled pair p.
+func heu(p *pair, opts Options) Result {
+	s := searchNodeMaps(p, opts, inaccurateLeaf)
 	res := s.result()
 	if s.best > opts.Tau() {
 		// HEU is a heuristic: exceedance means the heuristic instance
@@ -109,7 +112,12 @@ func HEU(g, h *hypergraph.Hypergraph, opts Options) Result {
 	if s.best < unbounded { // a leaf recorded a mapping
 		// Provide a concrete path via the optimal hyperedge assignment for
 		// the best node mapping found; its cost is ≤ the reported instance.
-		res.Path = s.p.extractPath(s.p.mapping(s.bestNodeMap, s.p.edgeAssignment(s.bestNodeMap)))
+		res.Path = p.extractPath(p.mapping(s.bestNodeMap, p.edgeAssignment(s.bestNodeMap)))
 	}
 	return res
+}
+
+// inaccurateLeaf prices a complete node mapping by EDC-INAC.
+func inaccurateLeaf(s *nodeMapSearch, _ int) (int, []int, bool) {
+	return s.p.edcInaccurate(s.nodeMap), nil, true
 }

@@ -82,8 +82,9 @@ func compiledDiff(got, want *graphData) string {
 // TestInducedCompileMatchesSubgraph is the differential contract of
 // WithinInduced: compiling a node set straight from the host's CSR gives,
 // field for field, the compilation of host.InducedSubgraph(set), dense
-// label ids of the pair included, and WithinInduced returns the Result of
-// Within on the two subgraphs at every tested τ and expansion cap.
+// label ids of the pair included, and WithinInduced returns, for each of
+// the three solvers, the Result of Within on the two subgraphs (distance,
+// flags, expansions and path) at every tested τ and expansion cap.
 // Compilations reuse one warm pair, as the pooled solver does.
 func TestInducedCompileMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -127,16 +128,25 @@ func TestInducedCompileMatchesSubgraph(t *testing.T) {
 		if trial%3 != 0 {
 			continue
 		}
-		for _, tau := range []int{0, 2, 5, unbounded} {
-			for _, cap := range []int64{2, 0} {
-				opts := Options{MaxExpansions: cap}
-				res, ok := WithinInduced(host, a, b, tau, opts)
-				wantRes, wantOK := Within(ga, gb, tau, opts)
-				if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
-					t.Fatalf("trial %d, τ %d, cap %d: sets %v and %v: WithinInduced = %+v (%v), Within on the subgraphs = %+v (%v)",
-						trial, tau, cap, a, b, res, ok, wantRes, wantOK)
+		for _, alg := range []Algorithm{AlgBFS, AlgDFS, AlgHEU} {
+			// HGED-DFS's unbounded enumeration would spend the default
+			// 4M expansions on some of these pairs; it is capped at
+			// 50,000 instead, which some pairs still reach.
+			caps := []int64{2, 0}
+			if alg == AlgDFS {
+				caps = []int64{2, 50_000}
+			}
+			for _, tau := range []int{0, 2, 5, unbounded} {
+				for _, cap := range caps {
+					opts := Options{MaxExpansions: cap}
+					res, ok := alg.WithinInduced(host, a, b, tau, opts)
+					wantRes, wantOK := alg.Within(ga, gb, tau, opts)
+					if ok != wantOK || !reflect.DeepEqual(res, wantRes) {
+						t.Fatalf("trial %d, solver %d, τ %d, cap %d: sets %v and %v: WithinInduced = %+v (%v), Within on the subgraphs = %+v (%v)",
+							trial, alg, tau, cap, a, b, res, ok, wantRes, wantOK)
+					}
+					solved++
 				}
-				solved++
 			}
 		}
 	}
@@ -158,7 +168,7 @@ func TestWithinInducedRejectsUnsortedSets(t *testing.T) {
 					t.Errorf("WithinInduced accepted set %v", set)
 				}
 			}()
-			WithinInduced(host, set, []hypergraph.NodeID{0}, 1, Options{})
+			AlgBFS.WithinInduced(host, set, []hypergraph.NodeID{0}, 1, Options{})
 		}()
 	}
 }

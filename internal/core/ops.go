@@ -119,26 +119,6 @@ type Path struct {
 // the paper's unit model.
 func (p *Path) Cost() int { return len(p.Ops) }
 
-// WeightedCost returns the path's total cost under a cost model.
-func (p *Path) WeightedCost(m CostModel) int {
-	total := 0
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpNodeInsert, OpNodeDelete:
-			total += m.Node
-		case OpEdgeInsert, OpEdgeDelete:
-			total += m.Edge
-		case OpEdgeExtend, OpEdgeReduce:
-			total += m.Incidence
-		case OpNodeRelabel:
-			total += m.NodeRelabel
-		case OpEdgeRelabel:
-			total += m.EdgeRelabel
-		}
-	}
-	return total
-}
-
 // Apply executes the path on a copy of g and returns the edited hypergraph.
 // Node/edge slots beyond g's size are materialized by insertion operations.
 // Applying the path extracted for HGED(g, h) yields a hypergraph isomorphic

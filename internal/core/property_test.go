@@ -19,7 +19,6 @@ func TestQuickSolverAgreement(t *testing.T) {
 		a, b := quickGraphs(seed)
 		bfs := BFS(a, b, Options{}).Distance
 		return bfs == DFS(a, b, Options{}).Distance &&
-			bfs == DFSHungarian(a, b, Options{}).Distance &&
 			HEU(a, b, Options{}).Distance >= bfs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

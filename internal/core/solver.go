@@ -8,32 +8,67 @@ import (
 	"hged/internal/hypergraph"
 )
 
-// solver is a reusable HGED-BFS handle: the pair model (compiled graphs,
-// label dictionaries, EDC scratch) and the search state (slab, priority
+// Algorithm selects one of the paper's three HGED solvers. Every solve,
+// whichever its solver, compiles both graphs into a pooled solver's pair
+// and runs the chosen search on that compiled pair.
+type Algorithm int
+
+const (
+	// AlgBFS is HGED-BFS (Algorithm 3) with all pruning strategies.
+	AlgBFS Algorithm = iota
+	// AlgDFS is HGED-DFS (Algorithms 1+2): exact, without re-ranking,
+	// upper bounds or lower bounds.
+	AlgDFS
+	// AlgHEU is HGED-HEU (Algorithm 1): a heuristic upper bound.
+	AlgHEU
+)
+
+// solver is a reusable HGED handle: the pair model (compiled graphs, label
+// dictionaries, EDC scratch) and the HGED-BFS search state (slab, priority
 // queue, suffix arrays) are retained across solves, so a warm solver pays
-// no allocation for them. A solver is not safe for concurrent use: Within
-// takes one from the pool for each solve, and none leaves this package.
+// no allocation for them. A solver is not safe for concurrent use: every
+// solve takes one from the pool, and none leaves this package.
 type solver struct {
 	p      pair
 	search bfsSearch
 }
 
-// within is Within on this solver's retained storage.
-func (sv *solver) within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
+// within compiles g and h into this solver and runs alg on them.
+func (sv *solver) within(alg Algorithm, g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
 	sv.p.init(g, h, opts.costModel())
-	return sv.run(tau, opts)
+	return sv.solve(alg, tau, opts)
 }
 
-// run searches the pair this solver holds compiled, bounded at tau.
+// solve runs alg on the pair this solver holds compiled and reports
+// res.Within(tau). HGED-BFS is bounded at tau itself at every tau, 0
+// included, and ignores opts.Threshold; HGED-DFS and HGED-HEU run with tau
+// as their threshold, which at 0 is their unbounded search.
+func (sv *solver) solve(alg Algorithm, tau int, opts Options) (Result, bool) {
+	var res Result
+	switch alg {
+	case AlgDFS:
+		opts.Threshold = tau
+		res = dfs(&sv.p, opts)
+	case AlgHEU:
+		opts.Threshold = tau
+		res = heu(&sv.p, opts)
+	default:
+		return sv.run(tau, opts)
+	}
+	return res, res.Within(tau)
+}
+
+// run searches the pair this solver holds compiled by HGED-BFS, bounded at
+// tau.
 func (sv *solver) run(tau int, opts Options) (Result, bool) {
 	sv.search.init(&sv.p, opts)
 	res := sv.search.run(opts, tau)
 	return res, res.Within(tau)
 }
 
-// solverPool recycles solvers across Within calls so batch workloads (the
-// hgedd service, HEP, search, matrices) hit warm slabs. Its per-P slot
-// hands a goroutine that solves in a loop the same warm solver each time.
+// solverPool recycles solvers across solves so batch workloads (the hgedd
+// service, HEP, search, matrices) hit warm slabs. Its per-P slot hands a
+// goroutine that solves in a loop the same warm solver each time.
 var solverPool = sync.Pool{New: func() interface{} {
 	solverMisses.Add(1)
 	return new(solver)
@@ -51,18 +86,25 @@ var (
 // bound, counts only if ≤ tau. The returned Result does not alias solver
 // memory.
 func Within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
+	return AlgBFS.Within(g, h, tau, opts)
+}
+
+// Within verifies HGED(g, h) ≤ tau with alg on a pooled solver and reports
+// res.Within(tau); see solver.solve for how each solver treats tau. The
+// returned Result does not alias solver memory.
+func (alg Algorithm) Within(g, h *hypergraph.Hypergraph, tau int, opts Options) (Result, bool) {
 	solverAcquires.Add(1)
 	sv := solverPool.Get().(*solver)
 	defer solverPool.Put(sv)
-	return sv.within(g, h, tau, opts)
+	return sv.within(alg, g, h, tau, opts)
 }
 
-// WithinInduced is Within(host.InducedSubgraph(a), host.InducedSubgraph(b),
-// tau, opts), Result for Result, without building either subgraph: both
-// node sets are compiled straight from host's frozen CSR into the pooled
-// solver. a and b must ascend without duplicates. It is the σ miss path of
-// HEP-BFS, whose context egos are such sets.
-func WithinInduced(host *hypergraph.Hypergraph, a, b []hypergraph.NodeID, tau int, opts Options) (Result, bool) {
+// WithinInduced is alg.Within(host.InducedSubgraph(a),
+// host.InducedSubgraph(b), tau, opts), Result for Result, without building
+// either subgraph: both node sets are compiled straight from host's frozen
+// CSR into the pooled solver. a and b must ascend without duplicates. It
+// is HEP's σ miss path, whose context egos are such sets.
+func (alg Algorithm) WithinInduced(host *hypergraph.Hypergraph, a, b []hypergraph.NodeID, tau int, opts Options) (Result, bool) {
 	mustAscend(a)
 	mustAscend(b)
 	solverAcquires.Add(1)
@@ -71,7 +113,7 @@ func WithinInduced(host *hypergraph.Hypergraph, a, b []hypergraph.NodeID, tau in
 	c := host.Freeze()
 	// A nil set would select the whole host.
 	sv.p.compile(c, nonNil(a), c, nonNil(b), opts.costModel())
-	return sv.run(tau, opts)
+	return sv.solve(alg, tau, opts)
 }
 
 func mustAscend(set []hypergraph.NodeID) {
@@ -89,7 +131,7 @@ func nonNil(set []hypergraph.NodeID) []hypergraph.NodeID {
 	return set
 }
 
-// PoolStats reports how often Within was served by a warm pooled
+// PoolStats reports how often a solve was served by a warm pooled
 // solver (hits) versus a fresh allocation (misses). The counters are
 // cumulative for the process; the hgedd /metrics endpoint exposes them.
 func PoolStats() (hits, misses int64) {

@@ -55,8 +55,8 @@ func TestSolverResultsDoNotAliasSampleMemo(t *testing.T) {
 		g, h := randomHypergraph(rng, 7, 5, 2), randomHypergraph(rng, 7, 5, 2)
 		opts := Options{MaxExpansions: 1}
 		for round := 0; round < 2; round++ {
-			got, _ := sv.within(g, h, opts.Tau(), opts)
-			want, _ := new(solver).within(g, h, opts.Tau(), opts)
+			got, _ := sv.within(AlgBFS, g, h, opts.Tau(), opts)
+			want, _ := new(solver).within(AlgBFS, g, h, opts.Tau(), opts)
 			if got.Distance != want.Distance || fmt.Sprint(got.Path) != fmt.Sprint(want.Path) {
 				t.Fatalf("pair %d round %d: warm solver %d %v, fresh %d %v", i, round, got.Distance, got.Path, want.Distance, want.Path)
 			}

@@ -148,7 +148,8 @@ func (c *pairCache) fullDistance(u, v hypergraph.NodeID, budget int) (int, bool)
 // direction never depends on the scheduling-dependent ids. Two equal sets
 // are a key like any other: solved once, then answered by the memo. The
 // egos are never taken from Ego, so nothing of them outlives the job in
-// the host's ego cache; HEP-BFS does not build them at all.
+// the host's ego cache; the solve compiles them straight from the host's
+// CSR without building them at all.
 func (c *pairCache) contextDistance(x, y egoRef, budget int) (int, bool) {
 	if c.metric != nil {
 		return c.metric(c.g, x.node, y.node, budget)
@@ -158,7 +159,7 @@ func (c *pairCache) contextDistance(x, y egoRef, budget int) (int, bool) {
 		if slices.Compare(a, b) > 0 {
 			a, b = b, a
 		}
-		res, within := c.solver.withinInduced(c.g, a, b, budget, opts)
+		res, within := core.Algorithm(c.solver).WithinInduced(c.g, a, b, budget, opts)
 		return res, within, true
 	})
 }

@@ -26,9 +26,9 @@
 // σ(u, v) depends only on the two ego node sets NEI_{G_S}(u) and
 // NEI_{G_S}(v), so context σ is keyed by that pair of sets and is shared by
 // every candidate that induces the same two egos. The sets are read off the
-// host's incidence lists; no candidate's G_S is ever built, and HEP-BFS
-// compiles the two egos of a σ miss straight from the host's CSR into the
-// solver (core.WithinInduced) without building them either. Seeds can be
+// host's incidence lists; no candidate's G_S is ever built, and every
+// solver compiles the two egos of a σ miss straight from the host's CSR
+// (core.Algorithm.WithinInduced) without building them either. Seeds can be
 // processed in parallel without changing the output.
 package predict
 
@@ -44,17 +44,18 @@ import (
 	"hged/internal/hypergraph"
 )
 
-// Algorithm selects the HGED solver driving σ computations.
-type Algorithm int
+// Algorithm selects the HGED solver driving σ computations. Its values are
+// core's, so a σ solve hands it to core unchanged.
+type Algorithm core.Algorithm
 
 const (
 	// AlgBFS uses HGED-BFS with all pruning strategies (HEP-BFS).
-	AlgBFS Algorithm = iota
+	AlgBFS = Algorithm(core.AlgBFS)
 	// AlgDFS uses HGED-DFS (HEP-DFS): exact but without re-ranking, upper
 	// bounds, or lower bounds.
-	AlgDFS
+	AlgDFS = Algorithm(core.AlgDFS)
 	// AlgHEU uses HGED-HEU: a heuristic upper-bound instance.
-	AlgHEU
+	AlgHEU = Algorithm(core.AlgHEU)
 )
 
 // ParseAlgorithm maps a solver name — bfs, dfs or heu, in any case; the
@@ -77,28 +78,7 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // (opts.Threshold is ignored), which at 0 is their unbounded search. A
 // plain solve, where a zero Threshold means none, passes opts.Tau().
 func (a Algorithm) Within(g, h *hypergraph.Hypergraph, tau int, opts core.Options) (core.Result, bool) {
-	opts.Threshold = tau
-	var res core.Result
-	switch a {
-	case AlgDFS:
-		res = core.DFS(g, h, opts)
-	case AlgHEU:
-		res = core.HEU(g, h, opts)
-	default:
-		return core.Within(g, h, tau, opts)
-	}
-	return res, res.Within(tau)
-}
-
-// withinInduced is Within on the sub-hypergraphs the ascending node sets x
-// and y induce on host. HGED-BFS compiles both straight from host's CSR
-// (core.WithinInduced); HGED-DFS and HGED-HEU solve on the built
-// subgraphs.
-func (a Algorithm) withinInduced(host *hypergraph.Hypergraph, x, y []hypergraph.NodeID, tau int, opts core.Options) (core.Result, bool) {
-	if a == AlgBFS {
-		return core.WithinInduced(host, x, y, tau, opts)
-	}
-	return a.Within(host.InducedSubgraph(x), host.InducedSubgraph(y), tau, opts)
+	return core.Algorithm(a).Within(g, h, tau, opts)
 }
 
 func (a Algorithm) String() string {
