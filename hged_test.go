@@ -125,8 +125,8 @@ func TestFacadeBaselines(t *testing.T) {
 func TestFacadeBipartiteAndStats(t *testing.T) {
 	g := buildFig1(t)
 	b := hged.ToBipartite(g)
-	if b.NumLeft() != 8 || b.NumRight() != 4 {
-		t.Fatalf("bipartite %dx%d", b.NumLeft(), b.NumRight())
+	if len(b.NodeLabels) != 8 || len(b.EdgeLabels) != 4 {
+		t.Fatalf("bipartite %dx%d", len(b.NodeLabels), len(b.EdgeLabels))
 	}
 	st := hged.Summarize(g)
 	if st.Nodes != 8 || st.Edges != 4 {

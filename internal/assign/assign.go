@@ -97,17 +97,3 @@ func Solve(cost [][]int64) (rowToCol []int, total int64) {
 	}
 	return rowToCol, total
 }
-
-// SolveInt is Solve for int matrices, for callers working with small costs.
-func SolveInt(cost [][]int) (rowToCol []int, total int) {
-	n := len(cost)
-	c := make([][]int64, n)
-	for i, row := range cost {
-		c[i] = make([]int64, len(row))
-		for j, x := range row {
-			c[i][j] = int64(x)
-		}
-	}
-	rc, t := Solve(c)
-	return rc, int(t)
-}

@@ -167,10 +167,3 @@ func TestSolveNotSquarePanics(t *testing.T) {
 	}()
 	Solve([][]int64{{1, 2}, {3}})
 }
-
-func TestSolveInt(t *testing.T) {
-	rc, total := SolveInt([][]int{{0, 9}, {9, 0}})
-	if total != 0 || rc[0] != 0 || rc[1] != 1 {
-		t.Fatalf("SolveInt: %v %d", rc, total)
-	}
-}

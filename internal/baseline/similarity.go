@@ -52,28 +52,6 @@ func Jaccard(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Cosine returns |Γ(u) ∩ Γ(v)| / sqrt(|Γ(u)|·|Γ(v)|) (the Salton index).
-func Cosine(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float64 {
-	a, b := neighborSet(g, u), neighborSet(g, v)
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return float64(interCount(a, b)) / math.Sqrt(float64(len(a))*float64(len(b)))
-}
-
-// HubPromoted returns |Γ(u) ∩ Γ(v)| / min(|Γ(u)|, |Γ(v)|) [6].
-func HubPromoted(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float64 {
-	a, b := neighborSet(g, u), neighborSet(g, v)
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(interCount(a, b)) / float64(m)
-}
-
 // AdamicAdar returns Σ_{w ∈ Γ(u)∩Γ(v)} 1/log|Γ(w)| [7]. Neighbors of degree
 // ≤ 1 contribute 1/log 2.
 func AdamicAdar(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float64 {
@@ -111,13 +89,4 @@ func ResourceAllocation(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float6
 		}
 	}
 	return sum
-}
-
-// LeichtHolmeNewman returns |Γ(u) ∩ Γ(v)| / (|Γ(u)|·|Γ(v)|) [9].
-func LeichtHolmeNewman(g *hypergraph.Hypergraph, u, v hypergraph.NodeID) float64 {
-	a, b := neighborSet(g, u), neighborSet(g, v)
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return float64(interCount(a, b)) / (float64(len(a)) * float64(len(b)))
 }

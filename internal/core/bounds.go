@@ -59,7 +59,8 @@ func (p *pair) psiDense(a, b []int, numLab int) int {
 	return m - inter
 }
 
-// cardBound is multiset.CardinalityBound(src.cards, tgt.cards) on retained
+// cardBound is Definition 6's hyperedge-based bound on src.cards and
+// tgt.cards, the L1 walk of multiset.CardinalityBoundSorted, on retained
 // sorted scratch copies.
 func (p *pair) cardBound() int {
 	a := growInts(p.cardScratchA, len(p.src.cards))

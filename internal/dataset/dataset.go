@@ -15,7 +15,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hged/internal/gen"
 	"hged/internal/hypergraph"
@@ -222,18 +221,4 @@ func (s Spec) TableRow(g *hypergraph.Hypergraph) string {
 	st := hypergraph.Summarize(g)
 	return fmt.Sprintf("%-4s paper[n=%d m=%d mean=%.1f med=%d labels=%d] replica[%s]",
 		s.Name, s.PaperNodes, s.PaperEdges, s.PaperMean, s.PaperMedian, s.PaperLabels, st)
-}
-
-// SortEdges orders hyperedges lexicographically by node set; helper for
-// deterministic comparisons in tests and tools.
-func SortEdges(edges []hypergraph.Hyperedge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i].Nodes, edges[j].Nodes
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestSplitDeterministic(t *testing.T) {
 	if same {
 		diff := false
 		for i := range h1 {
-			if hypergraph.Hyperedge(h1[i]).Key() != hypergraph.Hyperedge(h3[i]).Key() {
+			if string(h1[i].AppendKey(nil)) != string(h3[i].AppendKey(nil)) {
 				diff = true
 				break
 			}
@@ -165,4 +166,18 @@ func TestSplitValidation(t *testing.T) {
 	if _, _, err := Split(g, 1, 1); err == nil {
 		t.Fatal("train fraction 1 must fail")
 	}
+}
+
+// SortEdges orders hyperedges lexicographically by node set, for
+// deterministic comparisons.
+func SortEdges(edges []hypergraph.Hyperedge) {
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i].Nodes, edges[j].Nodes
+		for k := 0; k < len(a) && k < len(b); k++ {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return len(a) < len(b)
+	})
 }

@@ -29,7 +29,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if back.NodeLabel(hypergraph.U(4)) != hypergraph.LabelCircle {
 		t.Fatal("node labels lost")
 	}
-	if back.EdgeLabel(0) != hypergraph.LabelOrange {
+	if back.Edge(0).Label != hypergraph.LabelOrange {
 		t.Fatal("edge labels lost")
 	}
 }
@@ -181,7 +181,7 @@ func TestReadTextLongLines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("1 MiB edge line: %v", err)
 	}
-	if g.NumEdges() != 1 || g.Edge(0).Arity() != n || g.EdgeLabel(0) != 3 {
+	if g.NumEdges() != 1 || g.Edge(0).Arity() != n || g.Edge(0).Label != 3 {
 		t.Fatalf("1 MiB edge line parsed as %d edges, arity %d", g.NumEdges(), g.Edge(0).Arity())
 	}
 

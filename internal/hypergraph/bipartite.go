@@ -45,28 +45,3 @@ func ToBipartite(h *Hypergraph) *Bipartite {
 	}
 	return b
 }
-
-// NumLeft returns the number of left (node) vertices.
-func (b *Bipartite) NumLeft() int { return len(b.NodeLabels) }
-
-// NumRight returns the number of right (hyperedge) vertices.
-func (b *Bipartite) NumRight() int { return len(b.EdgeLabels) }
-
-// NumIncidences returns the total number of bipartite edges, i.e. the sum of
-// hyperedge cardinalities.
-func (b *Bipartite) NumIncidences() int {
-	n := 0
-	for _, a := range b.Adj {
-		n += len(a)
-	}
-	return n
-}
-
-// FromBipartite reconstructs the hypergraph a bipartite view was built from.
-func FromBipartite(b *Bipartite) *Hypergraph {
-	h := NewLabeled(b.NodeLabels)
-	for j, nodes := range b.Adj {
-		h.AddEdge(b.EdgeLabels[j], nodes...)
-	}
-	return h
-}

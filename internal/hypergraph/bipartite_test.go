@@ -8,12 +8,16 @@ import (
 func TestToBipartiteFig1(t *testing.T) {
 	h := Fig1()
 	b := ToBipartite(h)
-	if b.NumLeft() != 8 || b.NumRight() != 4 {
-		t.Fatalf("bipartite dims %dx%d, want 8x4", b.NumLeft(), b.NumRight())
+	if len(b.NodeLabels) != 8 || len(b.EdgeLabels) != 4 {
+		t.Fatalf("bipartite dims %dx%d, want 8x4", len(b.NodeLabels), len(b.EdgeLabels))
 	}
 	// Σ|E| = 3+3+3+4 = 13.
-	if got := b.NumIncidences(); got != 13 {
-		t.Fatalf("incidences = %d, want 13", got)
+	incidences := 0
+	for _, a := range b.Adj {
+		incidences += len(a)
+	}
+	if incidences != 13 {
+		t.Fatalf("incidences = %d, want 13", incidences)
 	}
 	if !reflect.DeepEqual(b.Adj[3], []NodeID{U(4), U(5), U(7), U(8)}) {
 		t.Fatalf("Adj[E4] = %v", b.Adj[3])
@@ -48,4 +52,14 @@ func TestBipartiteIsDeepCopy(t *testing.T) {
 	if h.Edge(0).Nodes[0] == 7 {
 		t.Fatal("bipartite shares adjacency with hypergraph")
 	}
+}
+
+// FromBipartite reconstructs the hypergraph a bipartite view was built
+// from: the round-trip tests' independent inverse of ToBipartite.
+func FromBipartite(b *Bipartite) *Hypergraph {
+	h := NewLabeled(b.NodeLabels)
+	for j, nodes := range b.Adj {
+		h.AddEdge(b.EdgeLabels[j], nodes...)
+	}
+	return h
 }

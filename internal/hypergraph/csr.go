@@ -119,12 +119,6 @@ func (c *CSR) NumLabels() int { return len(c.labels) }
 // Labels returns the dense-id → label dictionary.
 func (c *CSR) Labels() []Label { return c.labels }
 
-// LabelID returns the dense id of l and whether l occurs in the graph.
-func (c *CSR) LabelID(l Label) (int32, bool) {
-	id, ok := c.labelID[l]
-	return id, ok
-}
-
 // NodeLabelID returns the interned id of l(v).
 func (c *CSR) NodeLabelID(v NodeID) int32 { return c.nodeLab[v] }
 

@@ -134,8 +134,8 @@ func checkCSRAgrees(t *testing.T, h *Hypergraph) {
 		if !equalNodeIDs(c.Members(id), h.Edge(id).Nodes) {
 			t.Fatalf("edge %d: CSR members %v, graph %v", e, c.Members(id), h.Edge(id).Nodes)
 		}
-		if got := c.Labels()[c.EdgeLabelID(id)]; got != h.EdgeLabel(id) {
-			t.Fatalf("edge %d: interned label %d, graph label %d", e, got, h.EdgeLabel(id))
+		if got := c.Labels()[c.EdgeLabelID(id)]; got != h.Edge(id).Label {
+			t.Fatalf("edge %d: interned label %d, graph label %d", e, got, h.Edge(id).Label)
 		}
 		incid += c.Arity(id)
 	}
@@ -144,7 +144,7 @@ func checkCSRAgrees(t *testing.T, h *Hypergraph) {
 	}
 	// Label dictionary is bijective over the labels actually present.
 	for i, l := range c.Labels() {
-		id, ok := c.LabelID(l)
+		id, ok := c.labelID[l]
 		if !ok || id != int32(i) {
 			t.Fatalf("label %d: dictionary lookup (%d, %v), want (%d, true)", l, id, ok, i)
 		}

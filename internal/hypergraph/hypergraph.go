@@ -48,16 +48,10 @@ func (e Hyperedge) Contains(v NodeID) bool {
 	return i < len(e.Nodes) && e.Nodes[i] == v
 }
 
-// Key returns a canonical string key for the node set (ignoring the label),
-// usable as a map key for deduplication.
-func (e Hyperedge) Key() string {
-	return string(e.AppendKey(make([]byte, 0, len(e.Nodes)*4)))
-}
-
-// AppendKey appends the canonical node-set key to b and returns the
-// extended slice. Dedup loops pass a reused scratch buffer and probe their
-// map with string(b) directly, so the per-call string allocation of Key is
-// paid only when a key is actually inserted.
+// AppendKey appends a canonical key for the node set (ignoring the label)
+// to b and returns the extended slice. Dedup loops pass a reused scratch
+// buffer and probe their map with string(b) directly, so a key string is
+// allocated only when a key is actually inserted.
 func (e Hyperedge) AppendKey(b []byte) []byte {
 	for _, v := range e.Nodes {
 		b = appendVarint(b, uint32(v))
@@ -182,11 +176,6 @@ func (h *Hypergraph) NodeLabel(v NodeID) Label {
 func (h *Hypergraph) SetNodeLabel(v NodeID, l Label) {
 	h.invalidateDerived()
 	h.nodeLabels[v] = l
-}
-
-// EdgeLabel returns l(E).
-func (h *Hypergraph) EdgeLabel(e EdgeID) Label {
-	return h.edges[e].Label
 }
 
 // SetEdgeLabel sets l(E).

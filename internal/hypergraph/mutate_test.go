@@ -59,7 +59,7 @@ func TestRemoveEdgeBasic(t *testing.T) {
 		if e == 1 {
 			continue
 		}
-		want.AddEdge(ref.EdgeLabel(EdgeID(e)), ref.Edge(EdgeID(e)).Nodes...)
+		want.AddEdge(ref.Edge(EdgeID(e)).Label, ref.Edge(EdgeID(e)).Nodes...)
 	}
 	requireCSRIdentical(t, g.Freeze(), want.Freeze())
 	// Members of the removed edge no longer list it.

@@ -61,26 +61,6 @@ func (s Stats) String() string {
 		s.Nodes, s.Edges, s.MeanEdgeSize, s.MedianEdgeSize, s.NodeLabels)
 }
 
-// DegreeHistogram returns a map from degree to the number of nodes with that
-// degree.
-func DegreeHistogram(h *Hypergraph) map[int]int {
-	hist := make(map[int]int)
-	for v := 0; v < h.NumNodes(); v++ {
-		hist[h.Degree(NodeID(v))]++
-	}
-	return hist
-}
-
-// EdgeSizeHistogram returns a map from hyperedge cardinality to the number of
-// hyperedges with that cardinality.
-func EdgeSizeHistogram(h *Hypergraph) map[int]int {
-	hist := make(map[int]int)
-	for i := 0; i < h.NumEdges(); i++ {
-		hist[h.Edge(EdgeID(i)).Arity()]++
-	}
-	return hist
-}
-
 // ConnectedComponents returns the node sets of the connected components of h
 // (two nodes are connected when they share a hyperedge), each sorted
 // ascending, ordered by their smallest member.

@@ -40,20 +40,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestDegreeAndSizeHistograms(t *testing.T) {
-	h := Fig1()
-	dh := DegreeHistogram(h)
-	// Degrees: u1:1 u2:2 u3:1 u4:3 u5:2 u6:1 u7:2 u8:1.
-	want := map[int]int{1: 4, 2: 3, 3: 1}
-	if !reflect.DeepEqual(dh, want) {
-		t.Fatalf("degree histogram = %v, want %v", dh, want)
-	}
-	sh := EdgeSizeHistogram(h)
-	if !reflect.DeepEqual(sh, map[int]int{3: 3, 4: 1}) {
-		t.Fatalf("size histogram = %v", sh)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	h := New(6)
 	h.AddEdge(NoLabel, 0, 1, 2)

@@ -17,7 +17,6 @@ type Versioned struct {
 	writeMu   sync.Mutex // serializes Begin..Commit/Abort
 	cur       atomic.Pointer[Generation]
 	published atomic.Int64 // generations published, including the first
-	batches   atomic.Int64 // committed mutation batches
 	pinned    atomic.Int64 // currently pinned readers across all generations
 }
 
@@ -61,17 +60,11 @@ func (v *Versioned) PinnedReaders() int64 { return v.pinned.Load() }
 // the initial one.
 func (v *Versioned) Published() int64 { return v.published.Load() }
 
-// Batches returns the number of committed mutation batches.
-func (v *Versioned) Batches() int64 { return v.batches.Load() }
-
 // Graph returns the generation's immutable graph. Callers must not mutate it.
 func (gen *Generation) Graph() *Hypergraph { return gen.g }
 
 // Seq returns the generation's sequence number (1 for the initial version).
 func (gen *Generation) Seq() int64 { return gen.seq }
-
-// Pins returns the number of readers currently pinned to this generation.
-func (gen *Generation) Pins() int64 { return gen.pins.Load() }
 
 // Unpin releases a pin taken with Versioned.Pin.
 func (gen *Generation) Unpin() {
@@ -246,7 +239,6 @@ func (b *Batch) Commit() (*Generation, Delta) {
 	delta.Seq = gen.seq
 	b.v.cur.Store(gen)
 	b.v.published.Add(1)
-	b.v.batches.Add(1)
 	b.v.writeMu.Unlock()
 	return gen, delta
 }

@@ -8,6 +8,131 @@ import (
 	"hged/internal/hypergraph"
 )
 
+// The map-based multiset below, with Psi, PsiSorted and CardinalityBound,
+// is the tests' independent reference for the dense path.
+
+// Counts is a multiset of labels represented as label → multiplicity.
+type Counts map[hypergraph.Label]int
+
+// FromLabels builds a multiset from a label slice.
+func FromLabels(labels []hypergraph.Label) Counts {
+	c := make(Counts, len(labels))
+	for _, l := range labels {
+		c[l]++
+	}
+	return c
+}
+
+// Size returns the total multiplicity.
+func (c Counts) Size() int {
+	n := 0
+	for _, k := range c {
+		n += k
+	}
+	return n
+}
+
+// Add increments the multiplicity of l.
+func (c Counts) Add(l hypergraph.Label) { c[l]++ }
+
+// Remove decrements the multiplicity of l, deleting the entry at zero.
+// Removing an absent label is a no-op.
+func (c Counts) Remove(l hypergraph.Label) {
+	if k, ok := c[l]; ok {
+		if k <= 1 {
+			delete(c, l)
+		} else {
+			c[l] = k - 1
+		}
+	}
+}
+
+// Clone returns a copy of the multiset.
+func (c Counts) Clone() Counts {
+	d := make(Counts, len(c))
+	for l, k := range c {
+		d[l] = k
+	}
+	return d
+}
+
+// IntersectionSize returns |S1 ∩ S2| as multisets: the sum over labels of the
+// minimum multiplicity.
+func IntersectionSize(a, b Counts) int {
+	// Iterate the smaller map.
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	n := 0
+	for l, ka := range a {
+		if kb, ok := b[l]; ok {
+			if ka < kb {
+				n += ka
+			} else {
+				n += kb
+			}
+		}
+	}
+	return n
+}
+
+// Psi implements Ψ(S1, S2) = max(|S1|, |S2|) − |S1 ∩ S2| (Definition 5).
+// It is the minimum number of relabel-plus-insert/delete operations needed to
+// turn one label multiset into the other, and therefore a lower bound on the
+// label-editing cost of any entity mapping.
+func Psi(a, b Counts) int {
+	sa, sb := a.Size(), b.Size()
+	m := sa
+	if sb > m {
+		m = sb
+	}
+	return m - IntersectionSize(a, b)
+}
+
+// Size returns the total multiplicity.
+func (s Sorted) Size() int {
+	n := 0
+	for _, k := range s.Counts {
+		n += int(k)
+	}
+	return n
+}
+
+// PsiSorted is Psi over the dense representation: max(|S1|, |S2|) − |S1 ∩ S2|.
+// Callers that already know the multiset sizes (the filter stage keeps them
+// in its signature table) should use PsiSortedSized to skip the size walks.
+func PsiSorted(a, b Sorted) int {
+	return PsiSortedSized(a, b, a.Size(), b.Size())
+}
+
+// CardinalityBound implements the hyperedge-based lower bound of
+// Definition 6: with both cardinality lists padded by zeros to equal length
+// and sorted, the L1 distance Σ| |E_i| − |E'_i| | is the minimum total
+// extend/reduce cost over all pairings of hyperedges (matching sorted
+// sequences minimizes the L1 matching cost), hence a valid lower bound on
+// the incidence-editing cost of any mapping.
+func CardinalityBound(a, b []int) int {
+	n := len(a)
+	if len(b) > n {
+		n = len(b)
+	}
+	as := make([]int, n) // zero-padded
+	bs := make([]int, n)
+	copy(as, a)
+	copy(bs, b)
+	sort.Ints(as)
+	sort.Ints(bs)
+	total := 0
+	for i := 0; i < n; i++ {
+		d := as[i] - bs[i]
+		if d < 0 {
+			d = -d
+		}
+		total += d
+	}
+	return total
+}
+
 // sortedFromLabels builds the dense multiset of a label slice by sorting a
 // copy. The tests use it to build Sorted inputs from plain label slices.
 func sortedFromLabels(labels []hypergraph.Label) Sorted {

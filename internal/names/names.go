@@ -19,7 +19,6 @@ type Builder struct {
 	nodeNames  []string
 	labelByKey map[string]hypergraph.Label
 	labelNames map[hypergraph.Label]string
-	edgeNames  []string
 }
 
 // NewBuilder returns an empty named-hypergraph builder.
@@ -73,18 +72,7 @@ func (b *Builder) Edge(label string, nodes ...string) hypergraph.EdgeID {
 	for i, n := range nodes {
 		ids[i] = b.Node(n)
 	}
-	e := b.g.AddEdge(b.Label(label), ids...)
-	for len(b.edgeNames) <= int(e) {
-		b.edgeNames = append(b.edgeNames, "")
-	}
-	return e
-}
-
-// NamedEdge is Edge with an explicit edge name, retrievable via EdgeName.
-func (b *Builder) NamedEdge(name, label string, nodes ...string) hypergraph.EdgeID {
-	e := b.Edge(label, nodes...)
-	b.edgeNames[e] = name
-	return e
+	return b.g.AddEdge(b.Label(label), ids...)
 }
 
 // Graph returns the built hypergraph. The builder may keep adding to it
@@ -105,14 +93,6 @@ func (b *Builder) NodeID(name string) (hypergraph.NodeID, bool) {
 	return v, ok
 }
 
-// EdgeName returns the explicit name of edge e, or a numeric fallback.
-func (b *Builder) EdgeName(e hypergraph.EdgeID) string {
-	if int(e) >= 0 && int(e) < len(b.edgeNames) && b.edgeNames[e] != "" {
-		return b.edgeNames[e]
-	}
-	return fmt.Sprintf("hyperedge#%d", e)
-}
-
 // LabelName returns the name a label was interned from, or a numeric
 // fallback.
 func (b *Builder) LabelName(l hypergraph.Label) string {
@@ -130,29 +110,4 @@ func (b *Builder) Names() []string {
 	out := append([]string(nil), b.nodeNames...)
 	sort.Strings(out)
 	return out
-}
-
-// NodeSet resolves a list of node names to ids; unknown names error.
-func (b *Builder) NodeSet(names ...string) ([]hypergraph.NodeID, error) {
-	out := make([]hypergraph.NodeID, len(names))
-	for i, n := range names {
-		v, ok := b.nodeByName[n]
-		if !ok {
-			return nil, fmt.Errorf("names: unknown node %q", n)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Describe renders a node set through its names.
-func (b *Builder) Describe(nodes []hypergraph.NodeID) string {
-	s := ""
-	for i, v := range nodes {
-		if i > 0 {
-			s += ", "
-		}
-		s += b.NodeName(v)
-	}
-	return s
 }

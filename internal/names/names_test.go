@@ -53,7 +53,7 @@ func TestBuilderLabelsInterned(t *testing.T) {
 
 func TestBuilderNames(t *testing.T) {
 	b := NewBuilder()
-	b.NamedEdge("paper-1", "KDD", "han", "ren")
+	b.Edge("KDD", "han", "ren")
 	v, ok := b.NodeID("han")
 	if !ok {
 		t.Fatal("han should exist")
@@ -64,33 +64,9 @@ func TestBuilderNames(t *testing.T) {
 	if b.NodeName(99) != "node#99" {
 		t.Fatal("unknown node needs a fallback")
 	}
-	if b.EdgeName(0) != "paper-1" {
-		t.Fatal("edge name lost")
-	}
-	if b.EdgeName(9) != "hyperedge#9" {
-		t.Fatal("unknown edge needs a fallback")
-	}
 	names := b.Names()
 	if len(names) != 2 || names[0] != "han" || names[1] != "ren" {
 		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestBuilderNodeSetAndDescribe(t *testing.T) {
-	b := NewBuilder()
-	b.Edge("g", "x", "y", "z")
-	set, err := b.NodeSet("x", "z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 2 {
-		t.Fatalf("set = %v", set)
-	}
-	if _, err := b.NodeSet("nope"); err == nil {
-		t.Fatal("unknown name must error")
-	}
-	if got := b.Describe(set); got != "x, z" {
-		t.Fatalf("describe = %q", got)
 	}
 }
 
