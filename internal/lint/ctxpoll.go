@@ -12,13 +12,16 @@ import (
 // consults opts.cancelled(counter) — the throttled poll that checks the
 // context every cancelCheckEvery increments.
 //
-// The rule keys on that convention: a function (including its nested
-// closures, where DFS does its recursion) that increments an expansion
-// counter but never calls a cancellation poll — a method named `cancelled`
-// or `ctxCancelled`, or Context.Err directly — is flagged. A long-running
-// solve inside such a loop would be unkillable: HTTP clients disconnecting,
-// job cancellation, and server drain all rely on the poll reaching every
-// expansion site.
+// The rule keys on that convention. Each increment of an expansion counter
+// belongs to one scope: the body of its innermost enclosing for or range
+// loop, or, outside any loop, the body of its function or closure (where
+// DFS does its recursion). A scope that increments a counter but never
+// calls a cancellation poll — a method named `cancelled` or
+// `ctxCancelled`, or Context.Err directly — is flagged; a poll after the
+// loop does not count, since the loop runs to its end before reaching it.
+// A long-running solve inside such a loop would be unkillable: HTTP
+// clients disconnecting, job cancellation, and server drain all rely on
+// the poll reaching every expansion site.
 //
 // Since the interprocedural layer, the poll may also live in a helper: a
 // call to any module function whose summary carries FactPollsCancel counts,
@@ -46,33 +49,71 @@ func runCtxpoll(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			var incs []token.Pos
-			hasPoll := false
+			polls := make(map[*ast.BlockStmt]bool)
+			var stack []ast.Node
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch st := n.(type) {
-				case *ast.IncDecStmt:
-					if st.Tok == token.INC && expansionCounters[counterName(st.X)] {
-						incs = append(incs, st.Pos())
-					}
-				case *ast.CallExpr:
-					if sel, ok := st.Fun.(*ast.SelectorExpr); ok && pollNames[sel.Sel.Name] {
-						hasPoll = true
-					}
-					if !hasPoll && pass.Prog != nil {
-						if id, ok := calleeID(pass.Info, st); ok {
-							if fn, ok := pass.Prog.Funcs[id]; ok && fn.Facts&FactPollsCancel != 0 {
-								hasPoll = true
-							}
-						}
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				st, ok := n.(*ast.IncDecStmt)
+				if !ok || st.Tok != token.INC || !expansionCounters[counterName(st.X)] {
+					return true
+				}
+				scope := pollScope(stack, fd.Body)
+				polled, seen := polls[scope]
+				if !seen {
+					polled = hasPoll(pass, scope)
+					polls[scope] = polled
+					if !polled {
+						pass.Reportf(st.Pos(), "expansion counter incremented but its loop never polls cancellation: call opts.cancelled(counter) in the loop so Options.Context can stop the solve")
 					}
 				}
 				return true
 			})
-			if len(incs) > 0 && !hasPoll {
-				pass.Reportf(incs[0], "expansion counter incremented but the function never polls cancellation: call opts.cancelled(counter) in the loop so Options.Context can stop the solve")
-			}
 		}
 	}
+}
+
+// pollScope returns the body that must poll for an increment whose
+// enclosing nodes are stack: the innermost for or range loop's body, else
+// the innermost closure's body, else the function's body.
+func pollScope(stack []ast.Node, fnBody *ast.BlockStmt) *ast.BlockStmt {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch x := stack[i].(type) {
+		case *ast.ForStmt:
+			return x.Body
+		case *ast.RangeStmt:
+			return x.Body
+		case *ast.FuncLit:
+			return x.Body
+		}
+	}
+	return fnBody
+}
+
+// hasPoll reports whether scope calls a cancellation poll, by name or
+// through a module function whose summary carries FactPollsCancel.
+func hasPoll(pass *Pass, scope *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(scope, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && pollNames[sel.Sel.Name] {
+			found = true
+		} else if pass.Prog != nil {
+			if id, ok := calleeID(pass.Info, call); ok {
+				if fn, ok := pass.Prog.Funcs[id]; ok && fn.Facts&FactPollsCancel != 0 {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // counterName extracts the counter identifier from the increment operand:

@@ -17,6 +17,8 @@ import (
 //
 //   - `return x.Pin()` transfers ownership to the caller and is exempt
 //     (the registry's GraphEntry.Pin wrapper is exactly this);
+//   - `x.Pin().Unpin()` releases the pin it takes: an Unpin whose receiver
+//     is the Pin call is that pin's release;
 //   - a `defer gen.Unpin()` after the acquire (possibly inside a deferred
 //     closure) covers all paths;
 //   - otherwise every return after the acquire needs a release between the
@@ -44,6 +46,7 @@ func checkPinUnit(pass *Pass, body *ast.BlockStmt) {
 		returns  []token.Pos
 		defers   []*ast.DeferStmt
 		transfer = make(map[token.Pos]bool) // pins that are `return x.Pin()`
+		chained  = make(map[token.Pos]bool) // pins that are `x.Pin().Unpin()`
 	)
 	walkUnit(body, func(n ast.Node) {
 		switch st := n.(type) {
@@ -62,6 +65,11 @@ func checkPinUnit(pass *Pass, body *ast.BlockStmt) {
 			}
 			if isPinRelease(pass, st) {
 				releases = append(releases, st.Pos())
+				if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok {
+					if recv, ok := ast.Unparen(sel.X).(*ast.CallExpr); ok && isPinCall(pass.Info, recv) {
+						chained[recv.Pos()] = true
+					}
+				}
 			}
 		}
 	})
@@ -72,6 +80,9 @@ func checkPinUnit(pass *Pass, body *ast.BlockStmt) {
 	for _, pin := range pins {
 		if transfer[pin] {
 			continue // ownership moves to the caller
+		}
+		if chained[pin] {
+			continue // released by the call it is the receiver of
 		}
 		if pinDeferCovers(pass, defers, pin) {
 			continue

@@ -54,6 +54,31 @@ func recursivePolling(opts Options, fanout func(int) int) int64 {
 	return expanded
 }
 
+// Flagged: the poll after the loop cannot stop the loop, which runs to
+// its end before reaching it.
+func pollAfterLoop(opts Options, step func() bool) (int64, bool) {
+	var expanded int64
+	for step() {
+		expanded++ // want ctxpoll "never polls cancellation"
+	}
+	return expanded, opts.ctxCancelled()
+}
+
+// Flagged: the poll sits in the outer loop, but the counter climbs in the
+// inner one.
+func pollInOuterLoop(opts Options, rows func() bool, step func() bool) int64 {
+	var expanded int64
+	for rows() {
+		for step() {
+			expanded++ // want ctxpoll "never polls cancellation"
+		}
+		if opts.cancelled(expanded) {
+			break
+		}
+	}
+	return expanded
+}
+
 // Flagged: the permutation-enumeration counter without a poll.
 func enumerate(opts Options, steps *int64, next func() bool) {
 	var spent int64

@@ -57,6 +57,13 @@ func transfer(v *Versioned) *Gen {
 	return v.Pin()
 }
 
+// chainedRelease takes a pin and releases it in one expression: the
+// Unpin's receiver is the Pin call itself.
+func chainedRelease(v *Versioned) int {
+	v.Pin().Unpin()
+	return 0
+}
+
 // finish unpins on the caller's behalf; its FactUnpins summary makes the
 // call count as a release in helperRelease.
 func finish(g *Gen) { g.Unpin() }
