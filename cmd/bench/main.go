@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"testing"
@@ -126,6 +127,10 @@ func run() error {
 		MaxProcs:  runtime.GOMAXPROCS(0),
 		Benchtime: bt,
 	}
+	stopProfile, err := startCPUProfile(flag.Lookup("test.cpuprofile").Value.String())
+	if err != nil {
+		return err
+	}
 	for _, bm := range suite() {
 		if filter != nil && !filter.MatchString(bm.name) {
 			continue
@@ -148,6 +153,9 @@ func run() error {
 			line.Name, line.NsPerOp, line.BytesPerOp, line.AllocsPerOp, extraString(line.Extra))
 		snap.Benchmarks = append(snap.Benchmarks, line)
 	}
+	if err := stopProfile(); err != nil {
+		return err
+	}
 	sort.Slice(snap.Benchmarks, func(i, j int) bool { return snap.Benchmarks[i].Name < snap.Benchmarks[j].Name })
 
 	path := *out
@@ -169,6 +177,28 @@ func run() error {
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(snap.Benchmarks))
 	return nil
+}
+
+// startCPUProfile starts a CPU profile of the selected benchmarks into
+// path, which -test.cpuprofile names (testing.Init registers the flag);
+// the returned func stops it and closes the file. An empty path profiles
+// nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 func extraString(extra map[string]float64) string {
