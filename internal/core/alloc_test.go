@@ -9,10 +9,9 @@ import (
 
 // TestSolverBFSAllocBound guards the slab/arena tentpole: a warm solver
 // re-solving a small pair must stay within a fixed allocation budget. The
-// measured cost is 21 allocs/solve (Strategy-2 mapping construction and
-// path extraction — none of it per-state); the bound leaves headroom
-// without letting per-push state allocations (which alone would add
-// hundreds) sneak back in.
+// measured cost is 9 allocs/solve, all of them building the reported
+// Mapping and edit path: Strategy 2 and the search allocate nothing once
+// warm, so any per-solve or per-state allocation fails the bound.
 func TestSolverBFSAllocBound(t *testing.T) {
 	g, h := egoPair()
 	sv := new(solver)
@@ -22,8 +21,8 @@ func TestSolverBFSAllocBound(t *testing.T) {
 			t.Errorf("distance drifted: %d vs %d", res.Distance, want.Distance)
 		}
 	})
-	if allocs > 40 {
-		t.Fatalf("warm solver allocated %.1f per solve, budget 40", allocs)
+	if allocs > 9 {
+		t.Fatalf("warm solver allocated %.1f per solve, budget 9", allocs)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"hged/internal/hypergraph"
@@ -26,27 +28,33 @@ import (
 //
 // Label multisets are tracked as dense arrays over the pair's label
 // dictionary, so per-state bound maintenance is allocation-free: Ψ updates
-// in O(1) per candidate from the popped state's base quantities, and the
-// cardinality bound recomputes in O(M) over sorted remainders.
+// in O(1) per candidate from the popped state's base quantities. At edge
+// levels a child's exact cost is a popcount of the source hyperedge's image
+// under the complete node map against the target's membership row, and its
+// cardinality bound is read off prefix and suffix sums built once per pop,
+// so each child is priced in O(1) besides one binary search.
 //
 // Search states live in a per-search slab and reference their parents by
-// index, so pushing a state never allocates once the slab is warm; BFS is
-// Within at the threshold of opts, so it runs on a pooled solver whose
-// slab, priority queue and scratch persist across calls.
+// index, so pushing a state never allocates once the slab is warm; the
+// per-pop scratch (used slots, node map, target remainders) moves from the
+// last popped state to the next along the slab's parent links instead of
+// being rebuilt from the root. BFS is Within at the threshold of opts, so
+// it runs on a pooled solver whose slab, priority queue and scratch persist
+// across calls.
 func BFS(g, h *hypergraph.Hypergraph, opts Options) Result {
 	res, _ := Within(g, h, opts.Tau(), opts)
 	return res
 }
 
 // state is a search node: the assignment made at the parent's level to reach
-// it, the exact accumulated cost g, and the admissible estimate f = g + h.
-// States are slab-allocated; parent is a slab index (noParent for the root).
+// it and the exact accumulated cost g. Its estimate f = g + h travels in
+// its heap entry. States are slab-allocated; parent is a slab index
+// (noParent for the root), and level is the number of entities assigned.
 type state struct {
 	parent int32
 	choice int32
 	level  int32
 	g      int32
-	f      int32
 }
 
 const noParent = int32(-1)
@@ -70,20 +78,32 @@ type bfsSearch struct {
 	cardArena    []int
 
 	useLB bool
+	// nodeEdgeLB is the hyperedge part of the suffix bound at every node
+	// level: no hyperedge is mapped there, so it is the root's.
+	nodeEdgeLB int
 
-	// Per-pop scratch (reused across pops).
+	// Scratch state of the slab state cur: used target slots, the node map
+	// of the assigned source nodes, and the target's unassigned label counts
+	// and cardinalities. restore moves it from cur to the next popped state.
+	cur                  int32
 	usedNodes, usedEdges []bool
 	nodeMapBuf           []int
 	tgtNodeCnt           []int32
 	tgtNodeSize          int
 	tgtEdgeCnt           []int32
 	tgtEdgeSize          int
-	tgtEdgeCards         []int // ascending
-	cardScratch          []int
+	tgtEdgeCards         []int   // ascending
+	walk                 []int32 // restore scratch: states to apply, deepest first
 
-	// Slab of all created states plus the priority queue of slab indices.
-	slab    []state
-	heapIdx []int32
+	// Per-pop edge-level pricing scratch: the image of the source hyperedge
+	// under the node map as a target-node bitset, and the top-aligned L1
+	// tables of l1Tables.
+	img            []uint64
+	l1Pre, l1Shift []int
+
+	// Slab of all created states plus the priority queue over it.
+	slab []state
+	heap []heapEntry
 }
 
 func (s *bfsSearch) srcNodeCntAt(k int) []int32 {
@@ -96,7 +116,8 @@ func (s *bfsSearch) srcEdgeCntAt(k int) []int32 {
 	return s.srcEdgeCnt[k*w : (k+1)*w]
 }
 
-// init prepares the search for p, reusing every retained buffer.
+// init prepares the search for p, reusing every retained buffer, and
+// resets the scratch state to the root.
 func (s *bfsSearch) init(p *pair, opts Options) {
 	N, M := p.paddedN, p.paddedM
 	s.p, s.N, s.M = p, N, M
@@ -105,13 +126,8 @@ func (s *bfsSearch) init(p *pair, opts Options) {
 	rerankNodes(s.nodeOrder, p.src, opts.DisableRerank)
 	s.edgeOrder = growInts(s.edgeOrder, M)
 	rerankEdges(s.edgeOrder, p.src, opts.DisableRerank)
-	s.usedNodes = growBools(s.usedNodes, N)
-	s.usedEdges = growBools(s.usedEdges, M)
-	s.nodeMapBuf = growInts(s.nodeMapBuf, N)
-	s.tgtNodeCnt = growInt32s(s.tgtNodeCnt, p.numNodeLab)
-	s.tgtEdgeCnt = growInt32s(s.tgtEdgeCnt, p.numEdgeLab)
 	s.slab = s.slab[:0]
-	s.heapIdx = s.heapIdx[:0]
+	s.heap = s.heap[:0]
 
 	// Source node-label suffixes.
 	s.srcNodeCnt = growInt32s(s.srcNodeCnt, (N+1)*p.numNodeLab)
@@ -191,6 +207,36 @@ func (s *bfsSearch) init(p *pair, opts Options) {
 		s.srcEdgeCards[k+1] = next
 		cards = next
 	}
+
+	// Scratch state at the root, which is slab state 0 once pushed.
+	s.cur = 0
+	s.usedNodes = growBools(s.usedNodes, N)
+	clear(s.usedNodes)
+	s.usedEdges = growBools(s.usedEdges, M)
+	clear(s.usedEdges)
+	s.nodeMapBuf = growInts(s.nodeMapBuf, N)
+	s.tgtNodeCnt = growInt32s(s.tgtNodeCnt, p.numNodeLab)
+	clear(s.tgtNodeCnt)
+	for _, l := range p.tgtNodeLab {
+		s.tgtNodeCnt[l]++
+	}
+	s.tgtNodeSize = p.tgt.n
+	s.tgtEdgeCnt = growInt32s(s.tgtEdgeCnt, p.numEdgeLab)
+	clear(s.tgtEdgeCnt)
+	for _, l := range p.tgtEdgeLab {
+		s.tgtEdgeCnt[l]++
+	}
+	s.tgtEdgeSize = p.tgt.m
+	s.tgtEdgeCards = append(s.tgtEdgeCards[:0], p.tgt.cards...)
+	sort.Ints(s.tgtEdgeCards)
+	s.img = growUint64s(s.img, p.tgt.bitWords)
+
+	s.nodeEdgeLB = 0
+	if s.useLB {
+		edgePsi := maxInt(s.srcEdgeSize[0], s.tgtEdgeSize) - interSize(s.srcEdgeCntAt(0), s.tgtEdgeCnt)
+		s.nodeEdgeLB = weightedPsi(edgePsi, s.srcEdgeSize[0]-s.tgtEdgeSize, p.w.Edge, p.w.minEdgeMismatch()) +
+			sortedL1(s.srcEdgeCards[0], s.tgtEdgeCards)*p.w.Incidence
+	}
 }
 
 // copyWithoutSorted copies the ascending list src into dst (len(src)-1)
@@ -206,62 +252,66 @@ func copyWithoutSorted(dst, src []int, v int) {
 	copy(dst[i:], src[i+1:])
 }
 
-// restore rebuilds the scratch state (used slots, node-map prefix, target
-// remaining counts) for the popped search node by walking its parent chain.
+// restore moves the scratch state from the state it holds to st: it undoes
+// assignments up to their common ancestor, then applies the ones down to
+// st. Every undo precedes every apply, since both branches may use the
+// same target slot.
 func (s *bfsSearch) restore(st int32) {
-	p := s.p
-	for i := range s.usedNodes {
-		s.usedNodes[i] = false
+	a, b := s.cur, st
+	s.walk = s.walk[:0]
+	for s.slab[a].level > s.slab[b].level {
+		s.move(a, false)
+		a = s.slab[a].parent
 	}
-	for i := range s.usedEdges {
-		s.usedEdges[i] = false
+	for s.slab[b].level > s.slab[a].level {
+		s.walk = append(s.walk, b)
+		b = s.slab[b].parent
 	}
-	for i := range s.tgtNodeCnt {
-		s.tgtNodeCnt[i] = 0
+	for a != b {
+		s.move(a, false)
+		a = s.slab[a].parent
+		s.walk = append(s.walk, b)
+		b = s.slab[b].parent
 	}
-	for _, l := range p.tgtNodeLab {
-		s.tgtNodeCnt[l]++
+	for i := len(s.walk) - 1; i >= 0; i-- {
+		s.move(s.walk[i], true)
 	}
-	s.tgtNodeSize = p.tgt.n
-	for i := range s.tgtEdgeCnt {
-		s.tgtEdgeCnt[i] = 0
-	}
-	for _, l := range p.tgtEdgeLab {
-		s.tgtEdgeCnt[l]++
-	}
-	s.tgtEdgeSize = p.tgt.m
-	s.tgtEdgeCards = append(s.tgtEdgeCards[:0], p.tgt.cards...)
-	sort.Ints(s.tgtEdgeCards)
-
-	for cur := st; s.slab[cur].parent != noParent; cur = s.slab[cur].parent {
-		par := &s.slab[s.slab[cur].parent]
-		lvl := int(par.level)
-		choice := int(s.slab[cur].choice)
-		if lvl < s.N {
-			s.usedNodes[choice] = true
-			s.nodeMapBuf[s.nodeOrder[lvl]] = choice
-			if choice < p.tgt.n {
-				s.tgtNodeCnt[p.tgtNodeLab[choice]]--
-				s.tgtNodeSize--
-			}
-		} else {
-			s.usedEdges[choice] = true
-			if choice < p.tgt.m {
-				s.tgtEdgeCnt[p.tgtEdgeLab[choice]]--
-				s.tgtEdgeSize--
-				s.tgtEdgeCards = removeSortedIntInPlace(s.tgtEdgeCards, p.tgt.cards[choice])
-			}
-		}
-	}
+	s.cur = st
 }
 
-func removeSortedIntInPlace(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		copy(xs[i:], xs[i+1:])
-		return xs[:len(xs)-1]
+// move applies (do) or undoes the assignment that created the non-root
+// state x: source entity level(x)−1 to target slot choice(x).
+func (s *bfsSearch) move(x int32, do bool) {
+	p := s.p
+	lvl := int(s.slab[x].level) - 1
+	j := int(s.slab[x].choice)
+	d := int32(1)
+	if do {
+		d = -1
 	}
-	return xs
+	if lvl < s.N {
+		s.usedNodes[j] = do
+		if do {
+			s.nodeMapBuf[s.nodeOrder[lvl]] = j
+		}
+		if j < p.tgt.n {
+			s.tgtNodeCnt[p.tgtNodeLab[j]] += d
+			s.tgtNodeSize += int(d)
+		}
+		return
+	}
+	s.usedEdges[j] = do
+	if j < p.tgt.m {
+		s.tgtEdgeCnt[p.tgtEdgeLab[j]] += d
+		s.tgtEdgeSize += int(d)
+		c := p.tgt.cards[j]
+		i := sort.SearchInts(s.tgtEdgeCards, c)
+		if do {
+			s.tgtEdgeCards = slices.Delete(s.tgtEdgeCards, i, i+1)
+		} else {
+			s.tgtEdgeCards = slices.Insert(s.tgtEdgeCards, i, c)
+		}
+	}
 }
 
 func interSize(a, b []int32) int {
@@ -277,30 +327,18 @@ func interSize(a, b []int32) int {
 	return n
 }
 
-// run searches the prepared pair at threshold tau (see Within).
-func (s *bfsSearch) run(opts Options, tau int) Result {
-	tau = min(tau, unbounded) // tau+1 must not overflow
+// run searches the prepared pair at threshold tau (see Within), whose
+// Strategy-3 root bound rootLB (0 without lower bounds) the caller has
+// already screened against tau.
+func (s *bfsSearch) run(opts Options, tau, rootLB int) Result {
 	p := s.p
-	N, M := s.N, s.M
-	total := N + M
+	total := s.N + s.M
 
-	// Strategy 3 at the root runs before Strategy 2: it is cheaper, and
-	// when it alone proves HGED > τ the sampled upper bound cannot change
-	// the answer — every incumbent is ≥ rootLB > τ, so the search below
-	// would push nothing and report exceedance with no expansions.
-	rootLB := 0
-	if s.useLB {
-		rootLB = p.rootLowerBound()
-	}
-	if rootLB > tau {
-		return Result{Distance: tau + 1, Exceeded: true, Exact: true}
-	}
-
-	// Strategy 2: initial incumbent.
-	incumbent := 1 << 30
-	var incumbentMap *Mapping
+	// Strategy 2: initial incumbent. Its mapping is built only when the
+	// result reports it.
+	incumbent, winner := 1<<30, greedyWinner
 	if !opts.DisableUpperBound {
-		incumbent, incumbentMap = p.upperBound(upperBoundSamples, upperBoundSeed)
+		incumbent, winner = p.strategy2(upperBoundSamples, upperBoundSeed)
 	}
 	bound := incumbent
 	if tau+1 < bound {
@@ -308,7 +346,7 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 	}
 
 	if rootLB < bound {
-		s.pushState(state{parent: noParent, level: 0, g: 0, f: int32(rootLB)})
+		s.pushState(state{parent: noParent}, int32(rootLB))
 	}
 
 	budget := opts.maxExpansions()
@@ -316,9 +354,9 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 	capped := false
 	goal := noParent
 
-	for len(s.heapIdx) > 0 {
-		st := s.popState()
-		if int(s.slab[st].f) >= bound {
+	for len(s.heap) > 0 {
+		top := s.popState()
+		if int(top.key>>32) >= bound {
 			continue // stale against a tightened incumbent
 		}
 		expanded++
@@ -326,14 +364,14 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 			capped = true
 			break
 		}
-		if int(s.slab[st].level) == total {
+		st := top.st
+		lvl := int(s.slab[st].level)
+		if lvl == total {
 			goal = st
 			break
 		}
 		s.restore(st)
-
-		lvl := int(s.slab[st].level)
-		if lvl < N {
+		if lvl < s.N {
 			s.expandNodeLevel(st, lvl, bound)
 		} else {
 			s.expandEdgeLevel(st, lvl, bound)
@@ -347,18 +385,18 @@ func (s *bfsSearch) run(opts Options, tau int) Result {
 		res.Path = p.extractPath(s.reconstructMapping(goal))
 	case capped:
 		// Budget exhausted: fall back to the best known upper bound.
-		if incumbentMap == nil {
-			incumbent, incumbentMap = p.upperBound(upperBoundSamples, upperBoundSeed)
+		if opts.DisableUpperBound {
+			incumbent, winner = p.strategy2(upperBoundSamples, upperBoundSeed)
 		}
 		res.Distance = incumbent
-		res.Path = p.extractPath(incumbentMap)
+		res.Path = p.extractPath(p.strategy2Mapping(upperBoundSamples, upperBoundSeed, winner))
 		return res
 	default:
 		// Queue exhausted below bound: the incumbent (or exceedance) is
 		// the answer.
 		res.Distance = incumbent
-		if incumbentMap != nil && incumbent < 1<<30 {
-			res.Path = p.extractPath(incumbentMap)
+		if !opts.DisableUpperBound && incumbent <= tau {
+			res.Path = p.extractPath(p.strategy2Mapping(upperBoundSamples, upperBoundSeed, winner))
 		}
 	}
 	if res.Distance > tau {
@@ -378,22 +416,18 @@ func (s *bfsSearch) expandNodeLevel(st int32, lvl, bound int) {
 	suffix := s.srcNodeCntAt(lvl + 1)
 	sizeA := s.srcNodeSize[lvl+1]
 	parentG := int(s.slab[st].g)
-	parentLevel := s.slab[st].level
-	var sizeB, interAB, edgeLB int
+	childLevel := s.slab[st].level + 1
+	var sizeB, interAB int
 	if s.useLB {
 		sizeB = s.tgtNodeSize
 		interAB = interSize(suffix, s.tgtNodeCnt)
-		// Full edge-part bound: no hyperedges are mapped at node levels.
-		edgePsi := maxInt(s.srcEdgeSize[0], s.tgtEdgeSize) - interSize(s.srcEdgeCntAt(0), s.tgtEdgeCnt)
-		edgeLB = weightedPsi(edgePsi, s.srcEdgeSize[0]-s.tgtEdgeSize, p.w.Edge, p.w.minEdgeMismatch()) +
-			sortedL1(s.srcEdgeCards[0], s.tgtEdgeCards)*p.w.Incidence
 	}
 	for j := 0; j < s.N; j++ {
 		if s.usedNodes[j] {
 			continue
 		}
 		childG := parentG + p.nodeCost(src, j)
-		childLB := edgeLB
+		childLB := s.nodeEdgeLB
 		if s.useLB {
 			inter, size := interAB, sizeB
 			if j < p.tgt.n {
@@ -407,53 +441,123 @@ func (s *bfsSearch) expandNodeLevel(st int32, lvl, bound int) {
 			childLB += weightedPsi(psi, sizeA-size, p.w.Node, p.w.minNodeMismatch())
 		}
 		if f := childG + childLB; f < bound {
-			s.pushState(state{parent: st, choice: int32(j), level: parentLevel + 1, g: int32(childG), f: int32(f)})
+			s.pushState(state{parent: st, choice: int32(j), level: childLevel, g: int32(childG)}, int32(f))
 		}
 	}
 }
 
-// expandEdgeLevel pushes the children of an edge-level state; the node
-// mapping is complete, so edge costs are exact.
+// expandEdgeLevel pushes the children of an edge-level state. The node
+// mapping is complete, so edge costs are exact: a real pair's overlap is
+// the popcount of the source hyperedge's image against the target's
+// membership row.
 func (s *bfsSearch) expandEdgeLevel(st int32, lvl, bound int) {
 	p := s.p
 	elvl := lvl - s.N
 	src := s.edgeOrder[elvl]
 	suffix := s.srcEdgeCntAt(elvl + 1)
 	sizeA := s.srcEdgeSize[elvl+1]
-	srcCards := s.srcEdgeCards[elvl+1]
 	parentG := int(s.slab[st].g)
-	parentLevel := s.slab[st].level
-	var sizeB, interAB int
+	childLevel := s.slab[st].level + 1
+	srcReal := src < p.src.m
+	var srcCard, srcLab int
+	if srcReal {
+		srcCard, srcLab = p.src.cards[src], p.srcEdgeLab[src]
+		clear(s.img)
+		for _, u := range p.src.edgeNodes[src] {
+			if v := s.nodeMapBuf[u]; v < p.tgt.n {
+				s.img[v/64] |= 1 << (uint(v) % 64)
+			}
+		}
+	}
+	var sizeB, interAB, l1Null int
 	if s.useLB {
 		sizeB = s.tgtEdgeSize
 		interAB = interSize(suffix, s.tgtEdgeCnt)
+		l1Null = s.l1Tables(s.srcEdgeCards[elvl+1])
 	}
+	bw := p.tgt.bitWords
 	for j := 0; j < s.M; j++ {
 		if s.usedEdges[j] {
 			continue
 		}
-		childG := parentG + p.edgeCost(src, j, s.nodeMapBuf)
+		tgtReal := j < p.tgt.m
+		childG := parentG
+		switch {
+		case srcReal && tgtReal:
+			if srcLab != p.tgtEdgeLab[j] {
+				childG += p.w.EdgeRelabel
+			}
+			inter := 0
+			for k, w := range p.tgt.memberBits[j*bw : (j+1)*bw] {
+				inter += bits.OnesCount64(w & s.img[k])
+			}
+			childG += (srcCard + p.tgt.cards[j] - 2*inter) * p.w.Incidence
+		case srcReal:
+			childG += p.w.Edge + srcCard*p.w.Incidence // delete
+		case tgtReal:
+			childG += p.w.Edge + p.tgt.cards[j]*p.w.Incidence // insert
+		}
 		childLB := 0
 		if s.useLB {
-			inter, size := interAB, sizeB
-			cards := s.tgtEdgeCards
-			if j < p.tgt.m {
+			inter, size, l1 := interAB, sizeB, l1Null
+			if tgtReal {
 				l := p.tgtEdgeLab[j]
 				if cb := s.tgtEdgeCnt[l]; cb >= 1 && cb <= suffix[l] {
 					inter--
 				}
 				size--
-				s.cardScratch = append(s.cardScratch[:0], s.tgtEdgeCards...)
-				cards = removeSortedIntInPlace(s.cardScratch, p.tgt.cards[j])
+				l1 = s.l1Without(p.tgt.cards[j])
 			}
 			psi := maxInt(sizeA, size) - inter
-			childLB = weightedPsi(psi, sizeA-size, p.w.Edge, p.w.minEdgeMismatch()) +
-				sortedL1(srcCards, cards)*p.w.Incidence
+			childLB = weightedPsi(psi, sizeA-size, p.w.Edge, p.w.minEdgeMismatch()) + l1*p.w.Incidence
 		}
 		if f := childG + childLB; f < bound {
-			s.pushState(state{parent: st, choice: int32(j), level: parentLevel + 1, g: int32(childG), f: int32(f)})
+			s.pushState(state{parent: st, choice: int32(j), level: childLevel, g: int32(childG)}, int32(f))
 		}
 	}
+}
+
+// l1Tables prepares l1Without for the ascending source remainder a against
+// the target remainder b = tgtEdgeCards, and returns sortedL1(a, b). Both
+// lists are read top-aligned: position i ≥ 1 holds the i-th largest value,
+// 0 past the end. l1Pre[t] sums |a_i − b_i| over i ≤ t; l1Shift[t] sums
+// |a_i − b_{i+1}| over i ≥ t, the terms of positions at or below a value
+// removed from b, whose lower values all move up one position.
+func (s *bfsSearch) l1Tables(a []int) int {
+	b := s.tgtEdgeCards
+	n := maxInt(len(a), len(b))
+	at := func(xs []int, i int) int {
+		if i > len(xs) {
+			return 0
+		}
+		return xs[len(xs)-i]
+	}
+	s.l1Pre = growInts(s.l1Pre, n+1)
+	s.l1Shift = growInts(s.l1Shift, n+2)
+	s.l1Pre[0] = 0
+	for i := 1; i <= n; i++ {
+		s.l1Pre[i] = s.l1Pre[i-1] + absInt(at(a, i)-at(b, i))
+	}
+	s.l1Shift[n+1] = 0
+	for i := n; i >= 1; i-- {
+		s.l1Shift[i] = s.l1Shift[i+1] + absInt(at(a, i)-at(b, i+1))
+	}
+	return s.l1Pre[n]
+}
+
+// l1Without returns sortedL1(a, b') for the lists of the last l1Tables
+// call, b' being b with one occurrence of c removed: positions above the
+// removed one keep their pairs, the ones from it down take l1Shift's.
+func (s *bfsSearch) l1Without(c int) int {
+	t := len(s.tgtEdgeCards) - sort.SearchInts(s.tgtEdgeCards, c)
+	return s.l1Pre[t-1] + s.l1Shift[t]
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 func (s *bfsSearch) reconstructMapping(goal int32) *Mapping {
@@ -461,7 +565,7 @@ func (s *bfsSearch) reconstructMapping(goal int32) *Mapping {
 	N, M := p.paddedN, p.paddedM
 	mp := p.mapping(make([]int, N), make([]int, M))
 	for cur := goal; s.slab[cur].parent != noParent; cur = s.slab[cur].parent {
-		lvl := int(s.slab[s.slab[cur].parent].level)
+		lvl := int(s.slab[cur].level) - 1
 		if lvl < N {
 			mp.NodeMap[s.nodeOrder[lvl]] = int(s.slab[cur].choice)
 		} else {
@@ -473,30 +577,33 @@ func (s *bfsSearch) reconstructMapping(goal int32) *Mapping {
 
 // --------------------------------------------------------------- heap
 //
-// The priority queue is a binary min-heap of slab indices ordered on
-// (f ascending, level descending) — deeper states first on ties so goals
-// surface sooner. The sift procedures mirror container/heap exactly, so the
-// pop order (and therefore the reported edit paths) is bit-for-bit the same
-// as the previous pointer-based implementation; what changed is that pushes
-// append to the slab and index array instead of allocating.
+// The priority queue is a binary min-heap ordered on (f ascending, level
+// descending) — deeper states first on ties so goals surface sooner. Each
+// entry carries that order packed into one key, so sifting compares keys
+// without reading the slab. The sift procedures mirror container/heap
+// exactly, so the pop order (and therefore the reported edit paths) is bit
+// for bit the same as a container/heap queue of the states.
 
-func (s *bfsSearch) stateLess(a, b int32) bool {
-	sa, sb := &s.slab[a], &s.slab[b]
-	if sa.f != sb.f {
-		return sa.f < sb.f
-	}
-	return sa.level > sb.level
+// heapEntry is a queued slab state st; key holds f in its high half and
+// the bitwise complement of the level in its low half, so key order is
+// the queue order and equal keys tie as equal states.
+type heapEntry struct {
+	key uint64
+	st  int32
 }
 
-// pushState slab-allocates st and sifts its index up the heap.
-func (s *bfsSearch) pushState(st state) {
+// pushState slab-allocates st with estimate f and sifts it up the heap.
+func (s *bfsSearch) pushState(st state, f int32) {
 	s.slab = append(s.slab, st)
-	s.heapIdx = append(s.heapIdx, int32(len(s.slab)-1))
-	h := s.heapIdx
+	s.heap = append(s.heap, heapEntry{
+		key: uint64(uint32(f))<<32 | uint64(^uint32(st.level)),
+		st:  int32(len(s.slab) - 1),
+	})
+	h := s.heap
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.stateLess(h[i], h[parent]) {
+		if h[i].key >= h[parent].key {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -504,9 +611,9 @@ func (s *bfsSearch) pushState(st state) {
 	}
 }
 
-// popState removes and returns the minimum state's slab index.
-func (s *bfsSearch) popState() int32 {
-	h := s.heapIdx
+// popState removes and returns the minimum entry.
+func (s *bfsSearch) popState() heapEntry {
+	h := s.heap
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	// Sift the swapped-in root down over h[:n] (container/heap's down).
@@ -517,16 +624,16 @@ func (s *bfsSearch) popState() int32 {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && s.stateLess(h[j2], h[j1]) {
+		if j2 := j1 + 1; j2 < n && h[j2].key < h[j1].key {
 			j = j2
 		}
-		if !s.stateLess(h[j], h[i]) {
+		if h[j].key >= h[i].key {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
 	top := h[n]
-	s.heapIdx = h[:n]
+	s.heap = h[:n]
 	return top
 }

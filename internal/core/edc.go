@@ -156,7 +156,7 @@ func (p *pair) edcInaccurate(nodeMap []int) int {
 func EDCPermutation(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 	p := newPair(g, h)
 	_, edgeMap, _, _ := p.edgePermutation(nodeMap, unbounded, 0, math.MaxInt64, Options{})
-	return p.totalCost(p.mapping(nodeMap, edgeMap))
+	return p.totalCost(nodeMap, edgeMap)
 }
 
 // EDCAssignment computes the same exact minimum edit cost as EDCPermutation
@@ -166,7 +166,7 @@ func EDCPermutation(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 // hyperedge mapping.
 func EDCAssignment(g, h *hypergraph.Hypergraph, nodeMap []int) int {
 	p := newPair(g, h)
-	return p.totalCost(p.mapping(nodeMap, p.edgeAssignment(nodeMap)))
+	return p.totalCost(nodeMap, p.edgeAssignment(nodeMap))
 }
 
 // edgeAssignment returns the optimal hyperedge mapping (source slot → target

@@ -280,6 +280,8 @@ type pair struct {
 	// sampleMemo holds Strategy-2 permutations across inits (see
 	// samplePerms); it depends only on its key, never on the graphs.
 	sampleMemo map[sampleKey][][]int
+	// greedy is Strategy 2's greedy-mapping scratch (see greedyPerms).
+	greedy greedyScratch
 }
 
 func newPair(g, h *hypergraph.Hypergraph) *pair {
@@ -416,14 +418,15 @@ func (p *pair) mapping(nodeMap, edgeMap []int) *Mapping {
 	}
 }
 
-// totalCost evaluates the exact edit cost of a complete mapping.
-func (p *pair) totalCost(mp *Mapping) int {
+// totalCost evaluates the exact edit cost of the complete mapping of
+// nodeMap and edgeMap.
+func (p *pair) totalCost(nodeMap, edgeMap []int) int {
 	cost := 0
-	for i, j := range mp.NodeMap {
+	for i, j := range nodeMap {
 		cost += p.nodeCost(i, j)
 	}
-	for e, f := range mp.EdgeMap {
-		cost += p.edgeCost(e, f, mp.NodeMap)
+	for e, f := range edgeMap {
+		cost += p.edgeCost(e, f, nodeMap)
 	}
 	return cost
 }
@@ -441,7 +444,7 @@ func Cost(g, h *hypergraph.Hypergraph, mp *Mapping) (int, error) {
 	if err := mp.Validate(); err != nil {
 		return 0, err
 	}
-	return newPair(g, h).totalCost(mp), nil
+	return newPair(g, h).totalCost(mp.NodeMap, mp.EdgeMap), nil
 }
 
 // extractPath derives an explicit edit path from a complete mapping. The

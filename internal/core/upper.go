@@ -15,30 +15,38 @@ const (
 	upperBoundSeed    int64 = 1
 )
 
-// upperBound implements Strategy 2: it evaluates the exact edit cost of a
+// strategy2 implements Strategy 2: it evaluates the exact edit cost of a
 // small set of heuristically constructed complete mappings — one greedy
 // label/degree-aligned mapping plus a few seeded random samples — and
-// returns the cheapest mapping found. Every candidate is a complete valid
-// mapping, so the returned cost is a sound upper bound on HGED.
-//
-// The sampled permutations come from the pair's sample memo (see
-// samplePerms); a winning sample is copied out, so the returned mapping
-// never aliases the memo.
-func (p *pair) upperBound(samples int, seed int64) (int, *Mapping) {
-	best := p.greedyMapping()
-	bestCost := p.totalCost(best)
-
+// returns the cheapest cost with the sample that reached it first, or
+// greedyWinner. Every candidate is a complete valid mapping, so the cost is
+// a sound upper bound on HGED. It allocates nothing once the pair is warm;
+// strategy2Mapping builds the winner's Mapping when a result needs it.
+func (p *pair) strategy2(samples int, seed int64) (cost, winner int) {
+	cost, winner = p.totalCost(p.greedyPerms()), greedyWinner
 	perms := p.samplePerms(samples, seed)
-	winner := -1
 	for s := 0; s < samples; s++ {
-		if c := p.totalCost(p.mapping(perms[2*s], perms[2*s+1])); c < bestCost {
-			bestCost, winner = c, s
+		if c := p.totalCost(perms[2*s], perms[2*s+1]); c < cost {
+			cost, winner = c, s
 		}
 	}
-	if winner >= 0 {
-		best = p.mapping(slices.Clone(perms[2*winner]), slices.Clone(perms[2*winner+1]))
+	return cost, winner
+}
+
+// greedyWinner is strategy2's winner when no sample beats the greedy
+// mapping.
+const greedyWinner = -1
+
+// strategy2Mapping returns the Mapping of strategy2(samples, seed)'s
+// winner. It copies the maps out, so the Mapping aliases neither the
+// sample memo nor the greedy scratch.
+func (p *pair) strategy2Mapping(samples int, seed int64, winner int) *Mapping {
+	if winner == greedyWinner {
+		nodeMap, edgeMap := p.greedyPerms()
+		return p.mapping(slices.Clone(nodeMap), slices.Clone(edgeMap))
 	}
-	return bestCost, best
+	perms := p.samplePerms(samples, seed)
+	return p.mapping(slices.Clone(perms[2*winner]), slices.Clone(perms[2*winner+1]))
 }
 
 // sampleKey identifies one Strategy-2 sample set: the permutations depend
@@ -78,21 +86,35 @@ func (p *pair) samplePerms(samples int, seed int64) [][]int {
 	return perms
 }
 
-// greedyMapping pairs source and target nodes sorted by (label, degree) and
+// greedyPerms pairs source and target nodes sorted by (label, degree) and
 // hyperedges sorted by (label, cardinality), sending the overhang to null
 // slots — the "simply ranked matching order" the paper observes is often
-// close to optimal.
-func (p *pair) greedyMapping() *Mapping {
-	return p.mapping(
-		alignLists(rankedSlots(p.src.nodeLabels, p.src.degrees), rankedSlots(p.tgt.nodeLabels, p.tgt.degrees), p.paddedN),
-		alignLists(rankedSlots(p.src.edgeLabels, p.src.cards), rankedSlots(p.tgt.edgeLabels, p.tgt.cards), p.paddedM))
+// close to optimal. The node and hyperedge maps it returns live in the
+// pair's scratch until the next call.
+func (p *pair) greedyPerms() (nodeMap, edgeMap []int) {
+	g := &p.greedy
+	g.src = rankSlots(g.src, p.src.nodeLabels, p.src.degrees)
+	g.tgt = rankSlots(g.tgt, p.tgt.nodeLabels, p.tgt.degrees)
+	g.nodeMap = g.align(g.nodeMap, p.paddedN)
+	g.src = rankSlots(g.src, p.src.edgeLabels, p.src.cards)
+	g.tgt = rankSlots(g.tgt, p.tgt.edgeLabels, p.tgt.cards)
+	g.edgeMap = g.align(g.edgeMap, p.paddedM)
+	return g.nodeMap, g.edgeMap
 }
 
-// rankedSlots returns the slots 0..len(labels)-1 ordered by label
-// ascending, then key (degree or cardinality) descending, then slot id. The
-// order is total, so any correct sort yields the same slots.
-func rankedSlots(labels []hypergraph.Label, keys []int) []int {
-	s := make([]int, len(labels))
+// greedyScratch holds greedyPerms' buffers: the ranked source and target
+// slots of one entity kind, the used-target marks and both maps.
+type greedyScratch struct {
+	src, tgt         []int
+	usedTgt          []bool
+	nodeMap, edgeMap []int
+}
+
+// rankSlots fills buf with the slots 0..len(labels)-1 ordered by label
+// ascending, then key (degree or cardinality) descending, then slot id.
+// The order is total, so any correct sort yields the same slots.
+func rankSlots(buf []int, labels []hypergraph.Label, keys []int) []int {
+	s := growInts(buf, len(labels))
 	for i := range s {
 		s[i] = i
 	}
@@ -108,22 +130,20 @@ func rankedSlots(labels []hypergraph.Label, keys []int) []int {
 	return s
 }
 
-// alignLists pairs the i-th source slot with the i-th target slot, padding
-// the shorter side with null slots (ids ≥ its real count), and returns the
-// source→target permutation over 0..padded-1.
-func alignLists(src, tgt []int, padded int) []int {
-	perm := make([]int, padded)
+// align pairs the i-th ranked source slot with the i-th ranked target slot,
+// padding the shorter side with null slots (ids ≥ its real count), and
+// returns the source→target permutation over 0..padded-1 in buf.
+func (g *greedyScratch) align(buf []int, padded int) []int {
+	perm := growInts(buf, padded)
 	for i := range perm {
 		perm[i] = -1
 	}
-	usedTgt := make([]bool, padded)
-	k := len(src)
-	if len(tgt) < k {
-		k = len(tgt)
-	}
+	g.usedTgt = growBools(g.usedTgt, padded)
+	clear(g.usedTgt)
+	k := min(len(g.src), len(g.tgt))
 	for i := 0; i < k; i++ {
-		perm[src[i]] = tgt[i]
-		usedTgt[tgt[i]] = true
+		perm[g.src[i]] = g.tgt[i]
+		g.usedTgt[g.tgt[i]] = true
 	}
 	// Remaining source slots (real overhang + nulls) take the unused target
 	// slots in order.
@@ -132,11 +152,11 @@ func alignLists(src, tgt []int, padded int) []int {
 		if perm[i] != -1 {
 			continue
 		}
-		for usedTgt[next] {
+		for g.usedTgt[next] {
 			next++
 		}
 		perm[i] = next
-		usedTgt[next] = true
+		g.usedTgt[next] = true
 	}
 	return perm
 }

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// upperBound is Strategy 2 as one call: strategy2's cost with its
+// winner's Mapping.
+func (p *pair) upperBound(samples int, seed int64) (int, *Mapping) {
+	cost, winner := p.strategy2(samples, seed)
+	return cost, p.strategy2Mapping(samples, seed, winner)
+}
+
+// greedyMapping is Strategy 2's greedy mapping as a Mapping.
+func (p *pair) greedyMapping() *Mapping {
+	return p.strategy2Mapping(0, 0, greedyWinner)
+}
+
 // TestSampleMemoMatchesFreshRand checks the Strategy-2 sample memo against
 // the sequence a fresh rand.New(rand.NewSource(seed)) draws, over a grid of
 // (seed, samples, N, M) large enough to overflow the memo, on the first
