@@ -393,6 +393,12 @@ func suite() []benchmark {
 			}
 			b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
 		}},
+		// Distance/mo is hgedd's /distance as serve-explain sends it: the
+		// ego networks of hyperedge-adjacent MO replica nodes drawn from a
+		// fixed seed, HGED-BFS at τ=10 with the 20k cap, edit path built.
+		// Most pairs are refuted by the root bound, counted as
+		// root-refuted/op.
+		{"Distance/mo", benchDistanceMO},
 		{"EDC-inaccurate", func(b *testing.B) {
 			g := plantedHost()
 			picks := egoPicks(g, 2, 6, 10)
@@ -933,6 +939,44 @@ func benchUniformRange(b *testing.B) {
 		verified += int64(stats.Verified)
 	}
 	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+}
+
+func benchDistanceMO(b *testing.B) {
+	spec, err := dataset.Lookup("MO")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := spec.Replica(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var pairs [][2]*hged.Hypergraph
+	for len(pairs) < 2000 {
+		e := g.Edge(hged.EdgeID(rng.Intn(g.NumEdges())))
+		if len(e.Nodes) < 2 {
+			continue
+		}
+		i := rng.Intn(len(e.Nodes))
+		j := rng.Intn(len(e.Nodes) - 1)
+		if j >= i {
+			j++
+		}
+		pairs = append(pairs, [2]*hged.Hypergraph{g.Ego(e.Nodes[i]), g.Ego(e.Nodes[j])})
+	}
+	opts := hged.Options{Threshold: 10, MaxExpansions: 20_000}
+	var expanded, refuted int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		res, _ := hged.AlgBFS.Within(pr[0], pr[1], opts.Tau(), opts)
+		expanded += res.Expanded
+		if res.Exceeded && res.Expanded == 0 {
+			refuted++
+		}
+	}
+	b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+	b.ReportMetric(float64(refuted)/float64(b.N), "root-refuted/op")
 }
 
 // benchChurnKNN runs k=3 kNN over gen.ChurnCorpus at the given
