@@ -60,67 +60,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d mean|E|=%.1f med|E|=%d |l(V)|=%d",
 		s.Nodes, s.Edges, s.MeanEdgeSize, s.MedianEdgeSize, s.NodeLabels)
 }
-
-// ConnectedComponents returns the node sets of the connected components of h
-// (two nodes are connected when they share a hyperedge), each sorted
-// ascending, ordered by their smallest member.
-func ConnectedComponents(h *Hypergraph) [][]NodeID {
-	c := h.Freeze()
-	n := c.NumNodes()
-	visited := NewBitset(n)
-	var comps [][]NodeID
-	queue := make([]NodeID, 0, 64)
-	for start := 0; start < n; start++ {
-		if visited.Has(start) {
-			continue
-		}
-		visited.Add(start)
-		queue = append(queue[:0], NodeID(start))
-		comp := []NodeID{NodeID(start)}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range c.IncidentEdges(v) {
-				for _, u := range c.Members(e) {
-					if !visited.Has(int(u)) {
-						visited.Add(int(u))
-						comp = append(comp, u)
-						queue = append(queue, u)
-					}
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// HopDistances runs a hop-count BFS from src over the hypergraph's co-member
-// relation and returns a distance slice (-1 for unreachable nodes). It stops
-// expanding beyond maxHops when maxHops >= 0.
-func HopDistances(h *Hypergraph, src NodeID, maxHops int) []int {
-	c := h.Freeze()
-	dist := make([]int, c.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if maxHops >= 0 && dist[v] >= maxHops {
-			continue
-		}
-		for _, e := range c.IncidentEdges(v) {
-			for _, u := range c.Members(e) {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return dist
-}
