@@ -1,6 +1,7 @@
 // Command hep predicts hyperedges: it mines all (λ,τ)-hyperedges of a
 // hypergraph in the .hg text format (Algorithm 4 of the paper) and prints
-// them, optionally with pairwise edit-path explanations.
+// them, optionally each with its Definition-4 explanation: the member pair
+// with the least slack inside G_S, its budget, σ and edit path.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hged/internal/baseline"
 	"hged/internal/hgio"
@@ -28,7 +30,7 @@ func run() error {
 	lambda := flag.Int("lambda", 3, "λ: hop budget and pairwise relaxation factor")
 	tau := flag.Int("tau", 5, "τ: node-similar distance budget")
 	solver := flag.String("solver", "bfs", "HGED solver inside HEP: bfs, dfs, or heu")
-	explain := flag.Bool("explain", false, "print one pairwise edit-path explanation per prediction")
+	explain := flag.Bool("explain", false, "print each prediction's tightest pair in G_S: its budget, σ and edit path")
 	js := flag.Bool("js", false, "use the Jaccard-similarity baseline instead of HGED")
 	minSim := flag.Float64("min-sim", 0.8, "JS baseline: minimum Jaccard similarity")
 	maxSize := flag.Int("max-size", 8, "maximum predicted hyperedge cardinality")
@@ -81,8 +83,10 @@ func run() error {
 		} else {
 			fmt.Printf("%4d: %v (seed %d)\n", i+1, pr.Nodes, pr.Seed)
 		}
-		if *explain && !*js && len(pr.Nodes) >= 2 {
-			if ex, err := p.Explain(pr.Nodes[0], pr.Nodes[1]); err == nil {
+		if *explain && !*js {
+			if ex, err := p.ExplainPrediction(pr); err != nil {
+				fmt.Print(indent(err.Error()))
+			} else {
 				fmt.Print(indent(ex.String()))
 			}
 		}
@@ -93,17 +97,8 @@ func run() error {
 	return nil
 }
 
+// indent prefixes every line of s with six spaces and ends it with a
+// newline.
 func indent(s string) string {
-	out := ""
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out += "      " + s[start:i+1]
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out += "      " + s[start:] + "\n"
-	}
-	return out
+	return "      " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n      ") + "\n"
 }

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 
 	"hged/internal/core"
 	"hged/internal/hypergraph"
@@ -34,50 +35,68 @@ func (e *Explanation) String() string {
 	return head + ":\n" + core.ExplainString(e.Path, e.namer)
 }
 
-// PredictionExplanation justifies one predicted (λ,τ)-hyperedge: for every
-// pair of members, the σ value inside the induced sub-hypergraph G_S and
-// (for the loosest pair) the edit path that realizes it.
-type PredictionExplanation struct {
-	Nodes []hypergraph.NodeID
-	// PairSigma maps "i,j" member-index pairs to σ_{G_S} values.
-	PairSigma map[[2]int]int
-	// WorstPair is the loosest pair of members and WorstPath its edit
-	// path — the weakest structural link holding the prediction together.
-	WorstPair [2]hypergraph.NodeID
-	WorstPath *core.Path
-	// WorstExact is false when the worst pair's search hit the predictor's
-	// MaxExpansions: its σ and path are then an upper bound.
-	WorstExact bool
+// MemberPair is one pair of a prediction's members, checked by Definition
+// 4 inside the induced sub-hypergraph G_S.
+type MemberPair struct {
+	U, V hypergraph.NodeID
+	// Sigma is σ_{G_S}(U, V). Exact is false when the search hit the
+	// predictor's MaxExpansions first: Sigma is then an upper bound.
+	Sigma int
+	Exact bool
+	// Budget is τ when U and V share a hyperedge of G_S, λ·τ otherwise.
+	Budget int
 }
 
-// ExplainPrediction computes, inside the induced sub-hypergraph of the
-// prediction, every pairwise σ and the edit path of the loosest pair. This
-// is the Definition-4 flavored counterpart of Explain: it justifies *the
-// hyperedge*, not a full-graph similarity.
+// PredictionExplanation justifies one predicted (λ,τ)-hyperedge by
+// Definition 4: every pair of members within its budget inside G_S, and
+// the edit path of the pair with the least slack (budget − σ), the
+// weakest link holding the prediction together.
+type PredictionExplanation struct {
+	Nodes []hypergraph.NodeID
+	// Pairs holds every pair of members, in ascending order.
+	Pairs []MemberPair
+	// Tightest explains the pair with the least slack, the first such
+	// pair on a tie, and Budget is that pair's budget.
+	Tightest *Explanation
+	Budget   int
+}
+
+// String renders the tightest pair's explanation headed by its budget.
+func (e *PredictionExplanation) String() string {
+	return fmt.Sprintf("budget %d, %s", e.Budget, e.Tightest)
+}
+
+// ExplainPrediction checks the prediction by Definition 4 inside G_S at
+// the predictor's λ, τ and MaxExpansions, and explains it by its tightest
+// pair. A set that fails Definition 4 is an error naming the first pair
+// not within its budget. This justifies *the hyperedge*; Explain justifies
+// a full-graph similarity.
 func (p *Predictor) ExplainPrediction(pred Prediction) (*PredictionExplanation, error) {
 	if len(pred.Nodes) < 2 {
 		return nil, fmt.Errorf("predict: prediction %v too small to explain", pred.Nodes)
 	}
-	sub := p.g.InducedSubgraph(pred.Nodes)
-	ex := &PredictionExplanation{
-		Nodes:     append([]hypergraph.NodeID(nil), pred.Nodes...),
-		PairSigma: make(map[[2]int]int),
+	sub, pairs, ok := checkGS(p.g, pred.Nodes, p.opts.Lambda, p.opts.Tau, core.Options{MaxExpansions: p.opts.MaxExpansions})
+	host := func(i int) hypergraph.NodeID { return sub.OrigID(hypergraph.NodeID(i)) }
+	if !ok {
+		bad := pairs[len(pairs)-1]
+		sigma := fmt.Sprintf("σ ≥ %d", bad.res.Distance)
+		if !bad.res.Exceeded {
+			sigma = fmt.Sprintf("σ ≤ %d (capped)", bad.res.Distance)
+		}
+		return nil, fmt.Errorf("predict: %v is no (%d,%d)-hyperedge: pair (%d,%d) is not within its budget %d, %s",
+			pred.Nodes, p.opts.Lambda, p.opts.Tau, host(bad.i), host(bad.j), bad.budget, sigma)
 	}
-	worst := -1
-	n := sub.NumNodes()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			res := core.BFS(sub.Ego(hypergraph.NodeID(i)), sub.Ego(hypergraph.NodeID(j)),
-				core.Options{MaxExpansions: p.opts.MaxExpansions})
-			ex.PairSigma[[2]int{i, j}] = res.Distance
-			if res.Distance > worst {
-				worst = res.Distance
-				ex.WorstPair = [2]hypergraph.NodeID{sub.OrigID(hypergraph.NodeID(i)), sub.OrigID(hypergraph.NodeID(j))}
-				ex.WorstPath = res.Path
-				ex.WorstExact = res.Exact
-			}
+	ex := &PredictionExplanation{Nodes: slices.Clone(pred.Nodes), Pairs: make([]MemberPair, len(pairs))}
+	tight := pairs[0]
+	for k, pr := range pairs {
+		ex.Pairs[k] = MemberPair{U: host(pr.i), V: host(pr.j), Sigma: pr.res.Distance, Exact: pr.res.Exact, Budget: pr.budget}
+		if pr.budget-pr.res.Distance < tight.budget-tight.res.Distance {
+			tight = pr
 		}
 	}
+	ex.Budget = tight.budget
+	ex.Tightest = &Explanation{U: host(tight.i), V: host(tight.j), Distance: tight.res.Distance, Exact: tight.res.Exact,
+		Path: tight.res.Path, namer: core.EgoNamer(sub.Ego(hypergraph.NodeID(tight.i)))}
 	return ex, nil
 }
 

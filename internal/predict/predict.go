@@ -649,32 +649,50 @@ func (p *Predictor) peel(s []hypergraph.NodeID, sc *egoScratch) []hypergraph.Nod
 	return s
 }
 
-// Verify checks Definition 4 for a node set S with core.Within: every pair
-// of neighbors in the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and
-// every pair of nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run
-// satisfies Verify with the predictor's own λ and τ.
+// Verify checks Definition 4 for a node set S: every pair of neighbors in
+// the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and every pair of
+// nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run satisfies Verify
+// with the predictor's own λ and τ.
 func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bool {
-	sub := g.InducedSubgraph(s)
+	_, _, ok := checkGS(g, s, lambda, tau, core.Options{})
+	return ok
+}
+
+// gsPair is one member pair checked by checkGS: the members' indices i<j
+// in G_S, the budget Definition 4 holds the pair to, and its solve.
+type gsPair struct {
+	i, j   int
+	budget int
+	res    core.Result
+}
+
+// checkGS is the Definition-4 oracle behind Verify and ExplainPrediction.
+// It shares nothing with HEP's σ memo and CSR path (peel), so it checks
+// them independently. It builds G_S and the ego of each member once, then
+// walks the member pairs i<j in ascending order: a pair that shares a
+// hyperedge of G_S is held to τ, any other pair to λ·τ, and core.Within
+// at opts decides it. It stops at the first pair not within its budget:
+// ok is then false and that pair is the last of pairs.
+func checkGS(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int, opts core.Options) (sub *hypergraph.Hypergraph, pairs []gsPair, ok bool) {
+	sub = g.InducedSubgraph(s)
 	n := sub.NumNodes()
 	egos := make([]*hypergraph.Hypergraph, n)
 	for i := range egos {
 		egos[i] = sub.Ego(hypergraph.NodeID(i))
 	}
-	lambdaTau := lambda * tau
 	for i := 0; i < n; i++ {
-		nbrs := make(map[hypergraph.NodeID]struct{})
-		for _, w := range sub.Neighbors(hypergraph.NodeID(i)) {
-			nbrs[w] = struct{}{}
-		}
+		nbrs := sub.Neighbors(hypergraph.NodeID(i))
 		for j := i + 1; j < n; j++ {
-			budget := lambdaTau
-			if _, isNbr := nbrs[hypergraph.NodeID(j)]; isNbr {
+			budget := lambda * tau
+			if _, adj := slices.BinarySearch(nbrs, hypergraph.NodeID(j)); adj {
 				budget = tau
 			}
-			if _, ok := core.Within(egos[i], egos[j], budget, core.Options{}); !ok {
-				return false
+			res, within := core.Within(egos[i], egos[j], budget, opts)
+			pairs = append(pairs, gsPair{i: i, j: j, budget: budget, res: res})
+			if !within {
+				return sub, pairs, false
 			}
 		}
 	}
-	return true
+	return sub, pairs, true
 }
