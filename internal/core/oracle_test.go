@@ -144,3 +144,132 @@ func TestSolversMatchBruteForceOracle(t *testing.T) {
 		}
 	}
 }
+
+// plantEdits returns k random edit operations of Definition 3 that are
+// valid, in order, on g: a node is deleted only once no hyperedge holds
+// it, a hyperedge only once it is empty, and every insertion takes a
+// fresh slot. The path they form costs k, so HGED(g, path.Apply(g)) ≤ k.
+func plantEdits(rng *rand.Rand, g *hypergraph.Hypergraph, k, labels int) []Op {
+	type edge struct {
+		alive   bool
+		members map[int]bool
+	}
+	nodes := make([]bool, g.NumNodes()) // alive flags by slot
+	for v := range nodes {
+		nodes[v] = true
+	}
+	edges := make([]edge, g.NumEdges())
+	for e := range edges {
+		edges[e] = edge{alive: true, members: make(map[int]bool)}
+		for _, v := range g.Edge(hypergraph.EdgeID(e)).Nodes {
+			edges[e].members[int(v)] = true
+		}
+	}
+	held := func(v int) bool {
+		for _, e := range edges {
+			if e.alive && e.members[v] {
+				return true
+			}
+		}
+		return false
+	}
+	label := func() hypergraph.Label { return hypergraph.Label(1 + rng.Intn(labels)) }
+	var ops []Op
+	for len(ops) < k {
+		// A pick that finds no valid target adds nothing; the loop draws
+		// again.
+		v, e := rng.Intn(len(nodes)), rng.Intn(max(len(edges), 1))
+		edgeAlive := e < len(edges) && edges[e].alive
+		switch kind := OpKind(rng.Intn(int(OpEdgeRelabel) + 1)); kind {
+		case OpNodeInsert:
+			ops = append(ops, Op{Kind: kind, Node: len(nodes), Label: label()})
+			nodes = append(nodes, true)
+		case OpNodeDelete:
+			if nodes[v] && !held(v) {
+				ops = append(ops, Op{Kind: kind, Node: v})
+				nodes[v] = false
+			}
+		case OpNodeRelabel:
+			if nodes[v] {
+				ops = append(ops, Op{Kind: kind, Node: v, Label: label()})
+			}
+		case OpEdgeInsert:
+			ops = append(ops, Op{Kind: kind, Edge: len(edges), Label: label()})
+			edges = append(edges, edge{alive: true, members: make(map[int]bool)})
+		case OpEdgeDelete:
+			if edgeAlive && len(edges[e].members) == 0 {
+				ops = append(ops, Op{Kind: kind, Edge: e})
+				edges[e].alive = false
+			}
+		case OpEdgeRelabel:
+			if edgeAlive {
+				ops = append(ops, Op{Kind: kind, Edge: e, Label: label()})
+			}
+		case OpEdgeReduce:
+			if edgeAlive && edges[e].members[v] {
+				ops = append(ops, Op{Kind: kind, Edge: e, Node: v})
+				delete(edges[e].members, v)
+			}
+		case OpEdgeExtend:
+			if edgeAlive && nodes[v] && !edges[e].members[v] {
+				ops = append(ops, Op{Kind: kind, Edge: e, Node: v})
+				edges[e].members[v] = true
+			}
+		}
+	}
+	return ops
+}
+
+// TestPlantedEditsBoundHGED checks the solvers against a known answer
+// that does not come from any solver: h is g after k random valid
+// Definition-3 operations, applied by Path.Apply, on random g of 5–7
+// nodes. HGED(g, h) ≤ k, HGED-BFS and HGED-DFS agree on it exactly,
+// HGED-HEU, capped at 100k expansions, is at least it, and every solver's
+// path turns g into a hypergraph isomorphic to h.
+func TestPlantedEditsBoundHGED(t *testing.T) {
+	const labels = 3
+	rng := rand.New(rand.NewSource(71))
+	solvers := []struct {
+		name  string
+		solve func(g, h *hypergraph.Hypergraph, opts Options) Result
+		opts  Options
+	}{{"BFS", BFS, Options{}}, {"DFS", DFS, Options{}}, {"HEU", HEU, Options{MaxExpansions: 100_000}}}
+	for trial := 0; trial < 200; trial++ {
+		g := hypergraph.New(0)
+		for n := 5 + rng.Intn(3); g.NumNodes() < n; {
+			g.AddNode(hypergraph.Label(1 + rng.Intn(labels)))
+		}
+		for m := 1 + rng.Intn(3); g.NumEdges() < m; {
+			perm := rng.Perm(g.NumNodes())[:1+rng.Intn(3)]
+			nodes := make([]hypergraph.NodeID, len(perm))
+			for i, v := range perm {
+				nodes[i] = hypergraph.NodeID(v)
+			}
+			g.AddEdge(hypergraph.Label(1+rng.Intn(labels)), nodes...)
+		}
+		k := 1 + rng.Intn(5)
+		planted := &Path{Ops: plantEdits(rng, g, k, labels)}
+		h, err := planted.Apply(g)
+		if err != nil {
+			t.Fatalf("trial %d: planted path %v does not apply: %v", trial, planted.Ops, err)
+		}
+		dist := make([]int, len(solvers))
+		for i, s := range solvers {
+			res := s.solve(g, h, s.opts)
+			if s.opts.MaxExpansions == 0 && !res.Exact || res.Path == nil {
+				t.Fatalf("trial %d %s: result %+v not exact or without a path", trial, s.name, res)
+			}
+			got, err := res.Path.Apply(g)
+			if err != nil {
+				t.Fatalf("trial %d %s: apply: %v", trial, s.name, err)
+			}
+			if !hypergraph.Isomorphic(got, h) {
+				t.Fatalf("trial %d %s: path does not reach h\ng=%v\nh=%v\ngot=%v", trial, s.name, g, h, got)
+			}
+			dist[i] = res.Distance
+		}
+		if bfs, dfs, heu := dist[0], dist[1], dist[2]; bfs > k || bfs != dfs || heu < bfs {
+			t.Fatalf("trial %d: BFS %d, DFS %d, HEU %d after %d planted edits %v\ng=%v\nh=%v", trial, bfs, dfs, heu, k, planted.Ops, g, h)
+		}
+	}
+}
