@@ -72,12 +72,12 @@ func (e *PredictionExplanation) String() string {
 // not within its budget. This justifies *the hyperedge*; Explain justifies
 // a full-graph similarity.
 func (p *Predictor) ExplainPrediction(pred Prediction) (*PredictionExplanation, error) {
-	if len(pred.Nodes) < 2 {
-		return nil, fmt.Errorf("predict: prediction %v too small to explain", pred.Nodes)
-	}
 	sub, pairs, ok := checkGS(p.g, pred.Nodes, p.opts.Lambda, p.opts.Tau, core.Options{MaxExpansions: p.opts.MaxExpansions})
 	host := func(i int) hypergraph.NodeID { return sub.OrigID(hypergraph.NodeID(i)) }
-	if !ok {
+	switch {
+	case len(pairs) == 0:
+		return nil, fmt.Errorf("predict: prediction %v too small to explain", pred.Nodes)
+	case !ok:
 		bad := pairs[len(pairs)-1]
 		sigma := fmt.Sprintf("σ ≥ %d", bad.res.Distance)
 		if !bad.res.Exceeded {

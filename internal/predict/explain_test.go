@@ -86,8 +86,11 @@ func TestExplainPredictionViolation(t *testing.T) {
 func TestExplainPredictionTooSmall(t *testing.T) {
 	g := hypergraph.New(2)
 	p, _ := New(g, Options{})
-	if _, err := p.ExplainPrediction(Prediction{Nodes: []hypergraph.NodeID{0}}); err == nil {
-		t.Fatal("singleton prediction must error")
+	// {0, 0} is the singleton too: G_S holds one node and no pair.
+	for _, nodes := range [][]hypergraph.NodeID{{0}, {0, 0}} {
+		if _, err := p.ExplainPrediction(Prediction{Nodes: nodes}); err == nil {
+			t.Fatalf("prediction %v with one distinct node must error", nodes)
+		}
 	}
 }
 

@@ -649,10 +649,10 @@ func (p *Predictor) peel(s []hypergraph.NodeID, sc *egoScratch) []hypergraph.Nod
 	return s
 }
 
-// Verify checks Definition 4 for a node set S: every pair of neighbors in
-// the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and every pair of
-// nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run satisfies Verify
-// with the predictor's own λ and τ.
+// Verify checks Definition 4 for a node set S with core.Within: every pair
+// of neighbors in the induced sub-hypergraph G_S must have σ_{G_S} ≤ τ, and
+// every pair of nodes σ_{G_S} ≤ λ·τ. Every Prediction emitted by Run
+// satisfies Verify with the predictor's own λ and τ.
 func Verify(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int) bool {
 	_, _, ok := checkGS(g, s, lambda, tau, core.Options{})
 	return ok
@@ -680,10 +680,11 @@ func checkGS(g *hypergraph.Hypergraph, s []hypergraph.NodeID, lambda, tau int, o
 	for i := range egos {
 		egos[i] = sub.Ego(hypergraph.NodeID(i))
 	}
+	lambdaTau := lambda * tau
 	for i := 0; i < n; i++ {
 		nbrs := sub.Neighbors(hypergraph.NodeID(i))
 		for j := i + 1; j < n; j++ {
-			budget := lambda * tau
+			budget := lambdaTau
 			if _, adj := slices.BinarySearch(nbrs, hypergraph.NodeID(j)); adj {
 				budget = tau
 			}
